@@ -6,7 +6,7 @@
 BENCH_JSON ?= BENCH_micro.json
 PYTHON ?= python
 
-.PHONY: install lint test bench bench-smoke bench-check trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
+.PHONY: install lint test perfbench-test bench bench-smoke bench-check trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -22,6 +22,11 @@ lint:
 
 test:
 	PYTHONPATH=src pytest tests/
+
+# The repository benchmark's helper tests (perfbench/ is outside the
+# suite's testpaths).
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
 
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only

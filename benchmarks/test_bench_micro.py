@@ -359,3 +359,25 @@ def test_columnar_decode_throughput(benchmark):
     trace = benchmark(run)
     assert len(trace) == len(ctrace)
     _record_throughput(benchmark, len(ctrace))
+
+
+def test_trace_read_throughput(benchmark):
+    # Text-trace parsing on the write workload's shape (mixed kinds,
+    # client= attributes): the reader in front of the write-invalidation
+    # replay.
+    import io
+
+    from repro.experiments.common import FAST_EVENTS, workload_trace
+    from repro.traces.reader import read_trace
+    from repro.traces.writer import write_trace
+
+    buffer = io.StringIO()
+    write_trace(workload_trace("write", FAST_EVENTS), buffer)
+    text = buffer.getvalue()
+
+    def run():
+        return read_trace(io.StringIO(text))
+
+    trace = benchmark(run)
+    assert len(trace) == FAST_EVENTS
+    _record_throughput(benchmark, len(trace))

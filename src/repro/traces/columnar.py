@@ -67,6 +67,7 @@ import struct
 import sys
 import tempfile
 from array import array
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -240,17 +241,28 @@ class ColumnarTrace:
         )
 
     def iter_events(self) -> Iterator[TraceEvent]:
-        """Decode every event, in order."""
-        for index in range(len(self)):
-            yield self.event_at(index)
+        """Decode every event, in order, column by column."""
+        count = len(self)
+
+        def column(codes, symbols: Sequence) -> Iterator:
+            # An absent column means code 0 everywhere (for kinds, OPEN).
+            if codes is None:
+                return repeat(symbols[0], count)
+            return map(symbols.__getitem__, codes)
+
+        return map(
+            TraceEvent,
+            column(self.file_codes, self.file_symbols),
+            column(self.kind_codes, KINDS),
+            range(count),
+            column(self.client_codes, self.client_symbols),
+            column(self.user_codes, self.user_symbols),
+            column(self.process_codes, self.process_symbols),
+        )
 
     def to_trace(self) -> Trace:
         """Decode the full trace back to event objects (interchange)."""
-        trace = Trace(name=self.name)
-        trace.extend(
-            event.with_sequence(-1) for event in self.iter_events()
-        )
-        return trace
+        return Trace(events=list(self.iter_events()), name=self.name)
 
     def file_ids(self) -> List[str]:
         """The access sequence decoded to file-identifier strings."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 
 class EventKind(enum.Enum):
@@ -44,12 +44,15 @@ class EventKind(enum.Enum):
         Raises :class:`ValueError` with the complete list of accepted
         names when the value is unknown.
         """
-        normalized = value.strip().lower()
-        for kind in cls:
-            if kind.value == normalized:
-                return kind
-        names = ", ".join(kind.value for kind in cls)
-        raise ValueError(f"unknown event kind {value!r} (expected one of: {names})")
+        kind = KINDS_BY_VALUE.get(value.strip().lower())
+        if kind is None:
+            names = ", ".join(member.value for member in cls)
+            raise ValueError(f"unknown event kind {value!r} (expected one of: {names})")
+        return kind
+
+
+#: Wire name -> kind, for the exact lowercase spellings (no stripping).
+KINDS_BY_VALUE: Dict[str, EventKind] = {kind.value: kind for kind in EventKind}
 
 
 @dataclass(frozen=True)

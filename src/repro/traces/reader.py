@@ -7,7 +7,8 @@ side).  The format, version ``repro-trace 1``:
 
 * Lines starting with ``#`` are comments; ``#!`` lines are header
   directives (currently ``#! repro-trace <version>`` and
-  ``#! name <trace-name>``).
+  ``#! name <trace-name>``, where the name is the rest of the line and
+  counts only before the first event).
 * Every other non-blank line is one event::
 
       <kind> <file-id> [client=<id>] [user=<id>] [process=<id>]
@@ -23,12 +24,12 @@ significant.
 
 from __future__ import annotations
 
-import io
+import gc
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
 
 from ..errors import TraceFormatError
-from .events import EventKind, Trace, TraceEvent
+from .events import KINDS_BY_VALUE, EventKind, Trace, TraceEvent
 
 FORMAT_NAME = "repro-trace"
 FORMAT_VERSION = 1
@@ -79,18 +80,65 @@ def iter_events(stream: TextIO) -> Iterator[TraceEvent]:
 
     The header is optional: a bare stream of event lines is accepted so
     hand-written fixtures stay convenient.  A ``#!`` directive naming a
-    different format or a newer version is rejected.
+    different format or a newer version is rejected.  Events carry
+    their sequence numbers (0, 1, ... in line order).
     """
-    for line_number, raw_line in enumerate(stream, start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line.startswith("#!"):
-            _validate_directive(line, line_number)
-            continue
-        if line.startswith("#"):
-            continue
-        yield parse_event_line(line, line_number)
+    return iter(_TraceLines(stream))
+
+
+class _TraceLines:
+    """One pass over a text stream: the header's name, then every event.
+
+    The single parsing loop behind :func:`iter_events` and
+    :func:`read_trace`.  Lines are taken as the stream splits them
+    (``\\n`` after the stream's own newline translation).  Event lines
+    of the common shapes -- ``<kind> <file-id>``, optionally followed by
+    one ``client=`` attribute, with ``kind`` in lowercase -- build
+    their :class:`TraceEvent` directly.  Every other line is handled as
+    the format defines it: blanks and comments are skipped, directives
+    checked, and events parsed by :func:`parse_event_line`, so errors
+    and their line numbers do not depend on the shortcut.  ``name``
+    takes the rest of the last ``#! name`` line of the leading comment
+    block.
+    """
+
+    def __init__(self, stream: TextIO):
+        self.stream = stream
+        self.name = ""
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        kind_of = KINDS_BY_VALUE.get
+        sequence = 0
+        for line_number, raw_line in enumerate(self.stream, start=1):
+            tokens = raw_line.split()
+            if len(tokens) == 3:
+                kind = kind_of(tokens[0])
+                client = tokens[2]
+                if kind is not None and client[:7] == "client=" and len(client) > 7:
+                    yield TraceEvent(tokens[1], kind, sequence, client[7:])
+                    sequence += 1
+                    continue
+            elif len(tokens) == 2:
+                kind = kind_of(tokens[0])
+                if kind is not None:
+                    yield TraceEvent(tokens[1], kind, sequence)
+                    sequence += 1
+                    continue
+            line = raw_line.strip()
+            if not line:
+                continue
+            if line.startswith("#!"):
+                _validate_directive(line, line_number)
+                # No event yet: still in the leading comment block.
+                if not sequence:
+                    directive = line[2:].split(None, 1)
+                    if directive[0] == "name" and len(directive) > 1:
+                        self.name = directive[1]
+                continue
+            if line.startswith("#"):
+                continue
+            yield parse_event_line(line, line_number).with_sequence(sequence)
+            sequence += 1
 
 
 def _validate_directive(line: str, line_number: int) -> None:
@@ -114,26 +162,12 @@ def _validate_directive(line: str, line_number: int) -> None:
                 text=line,
             )
     elif tokens[0] == "name":
-        # Consumed by read_trace(); harmless here.
+        # Any text is a valid name; the parsing loop records it.
         pass
     else:
         raise TraceFormatError(
             f"unknown directive {tokens[0]!r}", line_number=line_number, text=line
         )
-
-
-def _trace_name_from_header(stream: TextIO) -> str:
-    """Scan the leading comment block of a stream for a name directive."""
-    name = ""
-    for raw_line in stream:
-        line = raw_line.strip()
-        if line.startswith("#!"):
-            tokens = line[2:].split()
-            if tokens and tokens[0] == "name" and len(tokens) > 1:
-                name = tokens[1]
-        elif line and not line.startswith("#"):
-            break
-    return name
 
 
 def read_trace(source: Union[str, Path, TextIO], name: str = "") -> Trace:
@@ -154,22 +188,27 @@ def read_trace(source: Union[str, Path, TextIO], name: str = "") -> Trace:
             import gzip
 
             with gzip.open(path, "rt", encoding="utf-8") as stream:
-                text = stream.read()
+                trace = read_trace(stream, name=name)
             stem = Path(path.stem).stem or path.stem
         else:
             with path.open("r", encoding="utf-8") as stream:
-                text = stream.read()
+                trace = read_trace(stream, name=name)
             stem = path.stem
-        trace = read_trace(io.StringIO(text), name=name or "")
         if not trace.name or trace.name == "trace":
             trace.name = name or stem
         return trace
 
-    text = source.read()
-    header_name = _trace_name_from_header(io.StringIO(text))
-    trace = Trace(name=name or header_name or "trace")
-    trace.extend(iter_events(io.StringIO(text)))
-    return trace
+    lines = _TraceLines(source)
+    # The events hold no reference cycles, so the cyclic collector's
+    # passes over the growing list are pure cost; pause it for the bulk.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        events = list(lines)
+    finally:
+        if collecting:
+            gc.enable()
+    return Trace(events=events, name=name or lines.name or "trace")
 
 
 def read_file_ids(source: Union[str, Path, TextIO]) -> Iterable[str]:

@@ -81,6 +81,10 @@ class TestIterEvents:
         with pytest.raises(TraceFormatError, match="numeric version"):
             list(iter_events(stream))
 
+    def test_numbers_events_in_line_order(self):
+        stream = io.StringIO("# c\nopen a\n\nOPEN b\nwrite c user=u\n")
+        assert [e.sequence for e in iter_events(stream)] == [0, 1, 2]
+
 
 class TestRoundTrip:
     def test_memory_round_trip(self, mixed_trace):
@@ -102,6 +106,31 @@ class TestRoundTrip:
         recovered = read_trace(path)
         assert recovered.file_ids() == mixed_trace.file_ids()
         assert recovered.name == "mixed"
+
+    @pytest.mark.parametrize(
+        "workload", ["server", "users", "write", "workstation"]
+    )
+    def test_paper_workloads_round_trip(self, tmp_path, workload):
+        from repro.workloads.synthetic import make_workload
+
+        original = make_workload(workload, 2000)
+        path = tmp_path / "trace.txt"
+        write_trace(original, path)
+        recovered = read_trace(path)
+        assert recovered.events == original.events
+        assert recovered.name == original.name
+
+    def test_name_with_whitespace_round_trips(self, tmp_path, mixed_trace):
+        mixed_trace.name = "my  trace\tv2"
+        path = tmp_path / "trace.txt"
+        write_trace(mixed_trace, path)
+        recovered = read_trace(path)
+        assert recovered.name == "my  trace\tv2"
+        assert recovered.events == mixed_trace.events
+
+    def test_name_only_from_leading_block(self):
+        text = "#! name first\nopen a\n#! name late\n"
+        assert read_trace(io.StringIO(text)).name == "first"
 
     def test_name_falls_back_to_stem(self, tmp_path):
         path = tmp_path / "mytrace.txt"
