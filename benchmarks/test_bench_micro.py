@@ -177,6 +177,29 @@ def test_system_replay_throughput(benchmark):
     _record_throughput(benchmark, len(trace))
 
 
+def test_system_replay_write_invalidation_throughput(benchmark):
+    # The write workload with per-file callback breaks, through the
+    # fused loop's mutation branch.
+    from repro.experiments.common import FAST_EVENTS, workload_trace
+    from repro.sim.engine import DistributedFileSystem
+
+    trace = workload_trace("write", FAST_EVENTS)
+
+    def run():
+        system = DistributedFileSystem(
+            client_capacity=250,
+            server_capacity=300,
+            group_size=5,
+            invalidate_on_write=True,
+        )
+        return system.replay(trace)
+
+    metrics = benchmark(run)
+    assert metrics.total_client_accesses == len(trace)
+    assert metrics.invalidations > 0
+    _record_throughput(benchmark, len(trace))
+
+
 def test_system_replay_interned_throughput(benchmark):
     from repro.sim.engine import DistributedFileSystem
 

@@ -515,7 +515,7 @@ def windowed_replay(
     # Without the session, the kernel's import/export would run per
     # window and a small window would lose its entire speedup to it.
     v2_state = None
-    if columnar and system._fast_replay_ok():
+    if columnar and system._kernel_ok():
         from ..sim.kernel import replay_columns_v2, v2_import
 
         v2_state = v2_import(system, trace)

@@ -14,21 +14,29 @@ explicitly rejects timing as a modelling input (Section 2.2).
 Replay throughput is the budget every figure spends, so
 :meth:`DistributedFileSystem.replay` carries a specialized fast loop
 for the common configuration (LRU successor lists, plain LRU caches,
-no write invalidation): the per-event work of ``tracker.observe`` +
-``cache.access`` + ``builder.build`` is inlined over the caches'
-ordered dicts, eliminating the CPython call overhead that dominates
-the hot path.  The loop is count-for-count identical to the generic
-path — the tests assert byte-identical :class:`SystemMetrics` — and
+the stock group builder, with or without write invalidation): the
+per-event work of ``tracker.observe`` + ``cache.access`` +
+``builder.build`` — and, under ``invalidate_on_write``, the per-file
+callback breaks of :meth:`DistributedFileSystem._apply_mutation` — is
+inlined over the caches' ordered dicts, eliminating the CPython call
+overhead that dominates the hot path.  The loop is count-for-count
+identical to the generic path — the tests assert byte-identical
+:class:`SystemMetrics` and post-replay cache and successor state — and
 any configuration the fast loop does not cover falls back to the
-generic one.  Passing ``intern=True`` additionally replaces file-id
-strings with dense integer codes for the duration of the replay (all
-policies are key-agnostic, so every counter is unchanged).
+generic one.  The columnar batch kernels cover the same configurations
+minus write invalidation (they ignore the kind column), so invalidating
+columnar replays decode to events and take the fast loop.  Passing
+``intern=True`` additionally replaces file-id strings with dense
+integer codes for the duration of the replay (all policies are
+key-agnostic, so every counter is unchanged).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..caching.base import CacheStats
@@ -122,7 +130,9 @@ class DistributedFileSystem:
         everywhere (clients and server cache).  Grouping's group
         overlaps impose no extra consistency burden here — exactly the
         paper's Section 2.1 point — because invalidation is per file,
-        not per group.
+        not per group.  Invalidating replays run the same fused fast
+        loop as the rest (only the columnar batch kernels decline
+        them), so the setting costs the mutation work and nothing more.
     """
 
     def __init__(
@@ -249,19 +259,20 @@ class DistributedFileSystem:
     def _fast_replay_ok(self) -> bool:
         """Whether the specialized replay loop matches this configuration.
 
-        The fast loop hard-codes LRU successor lists, plain LRU caches,
-        the stock group builder, and no write invalidation; anything
-        else (subclasses, alternative policies) takes the generic path.
-        An active flight recorder also forces the generic path: the
-        fused loop batches its accounting and cannot emit per-decision
-        trace records, and the tracing contract is that traced and
-        untraced replays count identically.
+        The fast loop hard-codes LRU successor lists, plain LRU caches
+        and the stock group builder; anything else (subclasses,
+        alternative policies) takes the generic path.  Write
+        invalidation is covered: the loop applies
+        :meth:`_apply_mutation`'s callback breaks inline.  An active
+        flight recorder forces the generic path: the fused loop batches
+        its accounting and cannot emit per-decision trace records, and
+        the tracing contract is that traced and untraced replays count
+        identically.  The columnar kernels need more than this — see
+        :meth:`_kernel_ok`.
         """
         if not self.use_fast_replay:
             return False
         if _obs.ENABLED and _tracing.ACTIVE is not None:
-            return False
-        if self.invalidate_on_write:
             return False
         if type(self.tracker) is not SuccessorTracker or self.tracker.policy != "lru":
             return False
@@ -281,6 +292,17 @@ class DistributedFileSystem:
         ):
             return False
         return True
+
+    def _kernel_ok(self) -> bool:
+        """Whether a columnar batch kernel may replay for this system.
+
+        The kernels (:mod:`repro.sim.kernel`) read only the file and
+        client columns, never the kind column, so on top of
+        :meth:`_fast_replay_ok` they need write invalidation off.
+        Every caller that picks a kernel asks this, not the fast-loop
+        predicate.
+        """
+        return not self.invalidate_on_write and self._fast_replay_ok()
 
     def _metrics_baseline(self) -> Tuple:
         """Pre-replay totals used to record per-replay metric deltas.
@@ -401,10 +423,15 @@ class DistributedFileSystem:
     def _replay_fast(self, trace: Trace, intern: bool) -> SystemMetrics:
         """Inlined replay loop for the common LRU configuration.
 
-        Count-for-count identical to driving :meth:`access` per event;
+        Count-for-count identical to driving :meth:`access` per event
+        (plus :meth:`_apply_mutation` under ``invalidate_on_write``);
         the bound-method and dataclass traffic of the generic path is
         replaced with direct OrderedDict operations, batched stats
         updates per client segment, and allocation-free group builds.
+        A mutation deletes the file from the other clients' dicts
+        (WRITE, CREATE) or from every dict including the server's
+        (DELETE) after the event's access, touching no stats and no
+        evict listener, exactly as :meth:`Cache.invalidate` does.
         """
         events = trace.events
         prev = self.tracker._previous
@@ -416,6 +443,16 @@ class DistributedFileSystem:
         else:
             codes = [event.file_id for event in events]
         client_ids = [event.client_id or "client00" for event in events]
+        delete = EventKind.DELETE
+        if self.invalidate_on_write:
+            # The event's kind when it mutates the file, None otherwise.
+            write, create = EventKind.WRITE, EventKind.CREATE
+            mutations = [
+                kind if kind is write or kind is create or kind is delete else None
+                for kind in map(attrgetter("kind"), events)
+            ]
+        else:
+            mutations = repeat(None)
 
         tracker = self.tracker
         lists = tracker._lists
@@ -451,6 +488,7 @@ class DistributedFileSystem:
 
         remote_requests = 0
         store_fetches = 0
+        invalidations = 0
         current_client = None
         cache = None
         cache_listener = None
@@ -458,7 +496,7 @@ class DistributedFileSystem:
         cache_stats = None
         pending_hits = 0
 
-        for file_id, client_id in zip(codes, client_ids):
+        for file_id, client_id, mutation in zip(codes, client_ids, mutations):
             if cooperative:
                 if prev is not None:
                     slist = lists_get(prev)
@@ -494,65 +532,77 @@ class DistributedFileSystem:
             if file_id in order:
                 order.move_to_end(file_id)
                 pending_hits += 1
-                continue
-
-            # ---- client miss: demand admit, then one group request ----
-            cache_stats.misses += 1
-            while len(order) >= client_capacity:
-                victim, _value = order.popitem(last=False)
-                if cache_listener is not None:
-                    cache_listener(victim)
-                cache_stats.evictions += 1
-            order[file_id] = None
-            remote_requests += 1
-
-            if not cooperative:
-                if prev is not None:
-                    slist = lists_get(prev)
-                    if slist is None:
-                        slist = LRUSuccessorList(successor_capacity)
-                        slist._items = [file_id]
-                        lists[prev] = slist
-                    else:
-                        items = slist._items
-                        if items[0] != file_id:
-                            try:
-                                items.remove(file_id)
-                            except ValueError:
-                                if len(items) >= successor_capacity:
-                                    items.pop()
-                            items.insert(0, file_id)
-                prev = file_id
-
-            members = build_group_fast(lists_get, group_size, file_id)
-            if observe_group is not None:
-                observe_group(len(members))
-                observe_chain(len(members))
-                if len(members) == 1:
-                    singleton_builds += 1
-            companions = members[1:]
-            if server is not None:
-                if file_id in server_order:
-                    server_order.move_to_end(file_id)
-                    server_stats.hits += 1
-                    server_mirror.hits += 1
-                else:
-                    server_stats.misses += 1
-                    server_mirror.misses += 1
-                    store_fetches += 1
-                    while len(server_order) >= server_capacity:
-                        victim, _value = server_order.popitem(last=False)
-                        if server_listener is not None:
-                            server_listener(victim)
-                        server_stats.evictions += 1
-                    server_order[file_id] = None
-                for member in companions:
-                    if member not in server_order:
-                        store_fetches += 1
-                server_install(server_order, companions, server_stats)
             else:
-                store_fetches += len(members)
-            cache.install_group_at_tail_fast(order, companions, cache_stats)
+                # ---- client miss: demand admit, then one group request ----
+                cache_stats.misses += 1
+                while len(order) >= client_capacity:
+                    victim, _value = order.popitem(last=False)
+                    if cache_listener is not None:
+                        cache_listener(victim)
+                    cache_stats.evictions += 1
+                order[file_id] = None
+                remote_requests += 1
+
+                if not cooperative:
+                    if prev is not None:
+                        slist = lists_get(prev)
+                        if slist is None:
+                            slist = LRUSuccessorList(successor_capacity)
+                            slist._items = [file_id]
+                            lists[prev] = slist
+                        else:
+                            items = slist._items
+                            if items[0] != file_id:
+                                try:
+                                    items.remove(file_id)
+                                except ValueError:
+                                    if len(items) >= successor_capacity:
+                                        items.pop()
+                                items.insert(0, file_id)
+                    prev = file_id
+
+                members = build_group_fast(lists_get, group_size, file_id)
+                if observe_group is not None:
+                    observe_group(len(members))
+                    observe_chain(len(members))
+                    if len(members) == 1:
+                        singleton_builds += 1
+                companions = members[1:]
+                if server is not None:
+                    if file_id in server_order:
+                        server_order.move_to_end(file_id)
+                        server_stats.hits += 1
+                        server_mirror.hits += 1
+                    else:
+                        server_stats.misses += 1
+                        server_mirror.misses += 1
+                        store_fetches += 1
+                        while len(server_order) >= server_capacity:
+                            victim, _value = server_order.popitem(last=False)
+                            if server_listener is not None:
+                                server_listener(victim)
+                            server_stats.evictions += 1
+                        server_order[file_id] = None
+                    for member in companions:
+                        if member not in server_order:
+                            store_fetches += 1
+                    server_install(server_order, companions, server_stats)
+                else:
+                    store_fetches += len(members)
+                cache.install_group_at_tail_fast(order, companions, cache_stats)
+
+            if mutation is None:
+                continue
+            # ---- write invalidation: per-file callback breaks ----
+            for other in clients.values():
+                if other is not cache or mutation is delete:
+                    other_order = other._order
+                    if file_id in other_order:
+                        del other_order[file_id]
+                        invalidations += 1
+            if mutation is delete and server is not None and file_id in server_order:
+                del server_order[file_id]
+                invalidations += 1
 
         if pending_hits:
             cache_stats.hits += pending_hits
@@ -560,6 +610,7 @@ class DistributedFileSystem:
             tracker._previous = prev
         self.remote_requests += remote_requests
         self.store.fetches += store_fetches
+        self.invalidations += invalidations
         if record:
             if cooperative:
                 transition_sites = len(events)
@@ -630,8 +681,9 @@ class DistributedFileSystem:
         Columnar traces route to the batch kernels when the
         configuration qualifies — integer columns replayed straight off
         the mmap, the ``intern=True`` contract without the encoding
-        pass — and are decoded to event objects for the generic path
-        otherwise.  The array-backed core
+        pass — and are decoded to event objects for the dict loops
+        otherwise (:meth:`_kernel_ok`; write invalidation is the case
+        that matters, since the kernels never read the kind column).  The array-backed core
         (:func:`repro.sim.kernel.replay_columns_v2`) runs when
         :func:`repro.sim.kernel.v2_import` accepts the live state (int
         cache keys, no evict listeners, enough events to amortize the
@@ -642,7 +694,7 @@ class DistributedFileSystem:
         records which loop actually ran.
         """
         if isinstance(trace, ColumnarTrace):
-            if self._fast_replay_ok():
+            if self._kernel_ok():
                 from .kernel import replay_columns, replay_columns_v2, v2_import
 
                 state = v2_import(self, trace)

@@ -230,13 +230,15 @@ def replay_columns(system, ctrace):
     """Replay a columnar trace through a qualifying system, batch-wise.
 
     The caller (:meth:`DistributedFileSystem._replay_trace`) guarantees
-    ``system._fast_replay_ok()``: LRU successor lists, plain LRU caches,
-    the stock group builder, no write invalidation, no active flight
-    recorder.  The loop is the engine's fused fast loop re-specialized
-    for integer columns: file identifiers are ints straight out of the
-    mmap, client segmentation is precomputed per run (hoisting the
-    per-event client check), and cache keys after the replay are codes
-    — exactly the ``intern=True`` contract, so reserve it for
+    ``system._kernel_ok()``: LRU successor lists, plain LRU caches,
+    the stock group builder, no active flight recorder, and no write
+    invalidation — the kernels read the file and client columns only,
+    never the kind column, so an invalidating system must decode to
+    events and take the engine's dict loop instead.  The loop is the
+    engine's fused fast loop re-specialized for integer columns: file
+    identifiers are ints straight out of the mmap, client segmentation
+    is precomputed per run (hoisting the per-event client check), and
+    cache keys after the replay are codes — exactly the ``intern=True`` contract, so reserve it for
     metrics-only runs.
 
     Returns the system's end-of-run :class:`~repro.sim.engine.SystemMetrics`,
@@ -482,9 +484,9 @@ class V2ReplayState:
 def v2_import(system, ctrace, min_events: Optional[int] = None):
     """Import a system's live state into array form, or None if it can't.
 
-    The caller must already hold ``system._fast_replay_ok()`` (LRU
-    everything, stock builder, no tracing) — this adds the *array*
-    eligibility on top:
+    The caller must already hold ``system._kernel_ok()`` (LRU
+    everything, stock builder, no tracing, no write invalidation) —
+    this adds the *array* eligibility on top:
 
     * the trace is long enough to amortize import/export
       (``min_events``, default :data:`V2_MIN_EVENTS`);
@@ -540,11 +542,11 @@ def replay_columns_v2(system, ctrace, state: Optional[V2ReplayState] = None):
     """Replay a columnar trace through the array-backed eviction core.
 
     Same contract as :func:`replay_columns` — caller guarantees
-    ``system._fast_replay_ok()`` — with the dict operations of the hot
-    loop replaced by flat-array state: a hit is one stamp store, a
-    miss runs the lazy exact-LRU eviction and stamps group installs
-    from the cold clock, and successor observations mutate slot lists
-    shared with the canonical tracker.  Byte-identical
+    ``system._kernel_ok()``, so no write invalidation — with the dict
+    operations of the hot loop replaced by flat-array state: a hit is
+    one stamp store, a miss runs the lazy exact-LRU eviction and stamps
+    group installs from the cold clock, and successor observations
+    mutate slot lists shared with the canonical tracker.  Byte-identical
     :class:`~repro.sim.engine.SystemMetrics`, cache contents, tracker
     state, and observability counter deltas (the kernel parity tests
     hold it to all four).

@@ -4,14 +4,29 @@ The engine and the aggregating client cache both carry specialized
 replay loops (optionally over interned integer codes).  These tests
 lock in the contract: the fast loops — string-keyed and interned — are
 count-for-count identical to driving the generic per-event ``access``
-path, across all four synthetic workloads.
+path, across all four synthetic workloads.  The engine's loop also
+applies write invalidation inline; hypothesis drives it with random
+OPEN / WRITE / CREATE / DELETE mixes, plainly, chained, interned, and
+from columnar traces (which must decline the batch kernels), against
+the per-event ``access`` + ``process_mutation`` reference.
 """
 
-import pytest
+import dataclasses
+import itertools
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.sim.kernel as kernel
 from repro.core.aggregating_cache import AggregatingClientCache
 from repro.experiments.common import workload_sequence, workload_trace
+from repro.obs import windowing
 from repro.sim.engine import DistributedFileSystem
+from repro.traces.columnar import ColumnarTrace
+from repro.traces.events import EventKind, Trace, TraceEvent
+from repro.traces.symbols import SymbolTable
 
 WORKLOADS = ("server", "users", "write", "workstation")
 EVENTS = 4000
@@ -23,6 +38,39 @@ def generic_engine_metrics(system, trace):
         client = event.client_id or "client00"
         system.access(client, event.file_id)
     return system.metrics()
+
+
+def reference_replay(system, trace, intern=False):
+    """Reference replay with write invalidation: per-event access(), then
+    process_mutation() on mutating events, no fast loop.
+
+    ``intern=True`` first maps file ids to dense codes through one fresh
+    :class:`SymbolTable`, as the engine's ``intern`` replay does.
+    """
+    events = list(trace)
+    if intern:
+        table = SymbolTable()
+        events = [
+            dataclasses.replace(event, file_id=table.intern(event.file_id))
+            for event in events
+        ]
+    for event in events:
+        client = event.client_id or "client00"
+        system.access(client, event.file_id)
+        if system.invalidate_on_write and event.is_mutation:
+            system.process_mutation(client, event)
+    return system.metrics()
+
+
+def replay_state(system):
+    """Post-replay cache and successor state, in order where order matters."""
+    server = system.server_cache
+    return (
+        [(client_id, list(cache._order)) for client_id, cache in system.clients.items()],
+        None if server is None else list(server._order),
+        [(key, list(slist._items)) for key, slist in system.tracker._lists.items()],
+        system.tracker._previous,
+    )
 
 
 def metrics_equal(left, right):
@@ -92,20 +140,50 @@ class TestEngineFastReplay:
         metrics = system.replay(trace)
         assert metrics.total_client_accesses == EVENTS
 
-    def test_invalidate_on_write_takes_generic_path(self):
-        trace = workload_trace("write", EVENTS)
-        config = dict(client_capacity=100, invalidate_on_write=True)
-        assert not DistributedFileSystem(**config)._fast_replay_ok()
-        reference = DistributedFileSystem(**config)
-        for event in trace:
-            client = event.client_id or "client00"
-            reference.access(client, event.file_id)
-            if event.is_mutation:
-                reference.process_mutation(client, event)
-        fast = DistributedFileSystem(**config).replay(trace)
-        interned = DistributedFileSystem(**config).replay(trace, intern=True)
-        assert metrics_equal(fast, reference.metrics())
-        assert metrics_equal(interned, reference.metrics())
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_invalidate_on_write_matches_reference(self, workload):
+        # Write invalidation runs in the fused loop; it must count and
+        # leave state exactly as access() + process_mutation() per event.
+        trace = workload_trace(workload, EVENTS)
+        for server_capacity, cooperative, intern in itertools.product(
+            (300, 0), (True, False), (False, True)
+        ):
+            config = dict(
+                client_capacity=100,
+                server_capacity=server_capacity,
+                group_size=5,
+                cooperative=cooperative,
+                invalidate_on_write=True,
+            )
+            label = (workload, server_capacity, cooperative, intern)
+            system = DistributedFileSystem(**config)
+            assert system._fast_replay_ok()
+            reference = DistributedFileSystem(**config)
+            expected = reference_replay(reference, trace, intern=intern)
+            assert system.replay(trace, intern=intern) == expected, label
+            assert replay_state(system) == replay_state(reference), label
+            if workload == "write":
+                assert expected.invalidations > 0, label
+
+    def test_columnar_invalidation_declines_kernels(self):
+        # The batch kernels never read the kind column: an invalidating
+        # system must decode a columnar trace and take the dict loop,
+        # windowed (one v2 session for the whole trace) or not.
+        trace = workload_trace("write", 20000)
+        ctrace = ColumnarTrace.from_trace(trace)
+        config = dict(
+            client_capacity=250,
+            server_capacity=300,
+            group_size=5,
+            invalidate_on_write=True,
+        )
+        system = DistributedFileSystem(**config)
+        assert system._fast_replay_ok() and not system._kernel_ok()
+        expected = reference_replay(DistributedFileSystem(**config), trace)
+        assert expected.invalidations > 0
+        assert DistributedFileSystem(**config).replay(ctrace) == expected
+        with windowing(window=4000):
+            assert DistributedFileSystem(**config).replay(ctrace) == expected
 
 
 class TestAggregatingFastReplay:
@@ -146,3 +224,136 @@ class TestAggregatingFastReplay:
         assert not cache._fast_replay_ok()
         cache.replay(sequence)
         assert cache.installed_batches == cache.stats.misses
+
+
+# -- write invalidation under hypothesis -------------------------------------
+
+KINDS = (EventKind.OPEN, EventKind.WRITE, EventKind.CREATE, EventKind.DELETE)
+
+#: Short spellings for the hand-written @example traces.
+O, W, C, D = KINDS
+
+#: ``(file, kind, client)`` rows over <= 12 files and 1-4 clients.
+_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=11),
+        st.sampled_from(KINDS),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=60,
+)
+
+#: Server capacity 0 means no server cache.
+_configs = st.fixed_dictionaries(
+    {
+        "client_capacity": st.integers(min_value=1, max_value=5),
+        "server_capacity": st.integers(min_value=0, max_value=5),
+        "group_size": st.integers(min_value=1, max_value=5),
+        "cooperative": st.booleans(),
+        "successor_capacity": st.integers(min_value=1, max_value=4),
+    }
+)
+
+
+def _trace(rows):
+    """``[(file, kind, client), ...]`` -> Trace over ``f<n>`` / ``c<n>`` ids."""
+    trace = Trace()
+    for file_index, kind, client_index in rows:
+        trace.append(
+            TraceEvent(f"f{file_index}", kind, client_id=f"c{client_index}")
+        )
+    return trace
+
+
+def _invalidating(config):
+    return DistributedFileSystem(invalidate_on_write=True, **config)
+
+
+def _small_config(**overrides):
+    config = dict(
+        client_capacity=2,
+        server_capacity=2,
+        group_size=3,
+        cooperative=True,
+        successor_capacity=2,
+    )
+    config.update(overrides)
+    return config
+
+
+class TestInvalidationDifferential:
+    @given(rows=_rows, config=_configs, split=st.integers(min_value=0, max_value=60))
+    @settings(max_examples=200, deadline=None)
+    # A mutation as the very first event (no access history anywhere).
+    @example(rows=[(0, W, 0), (0, O, 1), (0, D, 0)], config=_small_config(), split=0)
+    # A DELETE of a file nobody holds.
+    @example(
+        rows=[(0, O, 0), (1, O, 1), (7, D, 1), (0, O, 0)],
+        config=_small_config(),
+        split=2,
+    )
+    # A DELETE right after the deleting client's own miss (group
+    # installed, then the demanded file leaves every cache, server too).
+    @example(
+        rows=[(0, O, 0), (1, O, 0), (2, O, 0), (0, O, 1), (0, D, 1), (1, O, 1), (0, O, 0)],
+        config=_small_config(client_capacity=4, server_capacity=5),
+        split=3,
+    )
+    # CREATE / WRITE by one client while two others hold the file.
+    @example(
+        rows=[(3, O, 0), (3, O, 1), (3, O, 2), (3, C, 1), (3, O, 0), (3, W, 2), (3, O, 1)],
+        config=_small_config(cooperative=False, server_capacity=0),
+        split=4,
+    )
+    def test_fused_loop_matches_reference(self, rows, config, split):
+        trace = _trace(rows)
+        # Two chained replays: _previous (and every cache) crosses the
+        # boundary between the halves.
+        halves = (
+            Trace(events=trace.events[:split]),
+            Trace(events=trace.events[split:]),
+        )
+        reference = _invalidating(config)
+        fast = _invalidating(config)
+        assert fast._fast_replay_ok()
+        for half in halves:
+            expected = reference_replay(reference, half)
+            assert fast.replay(half) == expected
+            assert replay_state(fast) == replay_state(reference)
+
+        # Interned in one call only: chained interned replays re-code
+        # the previous file differently on the two paths (with or
+        # without invalidation), so the string-keyed runs cover chaining.
+        reference = _invalidating(config)
+        interned = _invalidating(config)
+        expected = reference_replay(reference, trace, intern=True)
+        assert interned.replay(trace, intern=True) == expected
+        assert replay_state(interned) == replay_state(reference)
+
+    @given(rows=_rows, config=_configs, window=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=100, deadline=None)
+    @example(
+        rows=[(0, D, 0), (0, O, 0), (0, O, 1), (0, W, 0), (0, O, 1)],
+        config=_small_config(),
+        window=2,
+    )
+    def test_columnar_trace_matches_reference(self, rows, config, window):
+        # The batch kernels ignore the kind column, so a columnar trace
+        # must decode and take the fused loop, windowed or not.
+        trace = _trace(rows)
+        ctrace = ColumnarTrace.from_trace(trace)
+        reference = _invalidating(config)
+        expected = reference_replay(reference, trace)
+
+        plain = _invalidating(config)
+        assert not plain._kernel_ok()
+        assert plain.replay(ctrace) == expected
+        assert replay_state(plain) == replay_state(reference)
+
+        # With the v2 size floor lifted, even these short traces would
+        # open the windowed replay's kernel session if it ignored
+        # invalidation.
+        windowed = _invalidating(config)
+        with mock.patch.object(kernel, "V2_MIN_EVENTS", 0), windowing(window=window):
+            assert windowed.replay(ctrace) == expected
+        assert replay_state(windowed) == replay_state(reference)

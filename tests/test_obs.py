@@ -184,6 +184,46 @@ class TestReplayPathEquivalence:
         assert snapshots[0]["counters"]["engine.client.hits"] > 0
         assert snapshots[0]["counters"]["successors.transitions"] == 3999
 
+    def test_invalidating_fast_and_generic_paths_record_identical_metrics(self):
+        trace = make_workload("write", 4000, 5)
+        snapshots = []
+        for fast in (True, False):
+            with collecting() as registry:
+                system = DistributedFileSystem(
+                    client_capacity=120,
+                    server_capacity=200,
+                    group_size=5,
+                    invalidate_on_write=True,
+                )
+                system.use_fast_replay = fast
+                system.replay(trace)
+            snapshot = registry.snapshot()
+            path = "fast" if fast else "generic"
+            assert snapshot["counters"][f"engine.replay.path.{path}"] == 1
+            snapshots.append(_strip_timers(snapshot))
+        assert snapshots[0] == snapshots[1]
+        counters = snapshots[0]["counters"]
+        assert counters["engine.invalidations"] > 0
+        assert counters["cache.lru.hits"] > 0
+        assert counters["successors.transitions"] == 3999
+        assert any(name.startswith("grouping.") for name in counters)
+
+    def test_flight_recorder_forces_generic_path_with_invalidation(self):
+        from repro.obs import tracing
+
+        system = DistributedFileSystem(
+            client_capacity=120, server_capacity=200, invalidate_on_write=True
+        )
+        assert system._fast_replay_ok()
+        registry = MetricsRegistry()
+        with tracing.recording(registry=registry) as recorder:
+            assert not system._fast_replay_ok()
+            system.replay(make_workload("write", 2000, 5))
+        counters = registry.snapshot()["counters"]
+        assert counters["engine.replay.path.generic"] == 1
+        assert "engine.replay.path.fast" not in counters
+        assert recorder.emitted["evict"] > 0
+
     def test_client_cache_fast_and_generic_paths_record_identical_metrics(self):
         sequence = make_workload("users", 3000, 3).file_ids()
         snapshots = []
