@@ -1478,6 +1478,7 @@ def _cmd_spans(args: argparse.Namespace) -> int:
                 "client p50/p99 (ms)",
                 "server p50/p99 (ms)",
                 "net+queue p50/p99 (ms)",
+                "parse",
                 "lock",
                 "cache",
                 "journal",
@@ -1493,6 +1494,7 @@ def _cmd_spans(args: argparse.Namespace) -> int:
                     f"{row['client_p50_ms']:.3f} / {row['client_p99_ms']:.3f}",
                     f"{row['server_p50_ms']:.3f} / {row['server_p99_ms']:.3f}",
                     f"{row['net_queue_p50_ms']:.3f} / {row['net_queue_p99_ms']:.3f}",
+                    f"{row['parse_share'] * 100:.1f}%",
                     f"{row['lock_share'] * 100:.1f}%",
                     f"{row['cache_share'] * 100:.1f}%",
                     f"{row['journal_share'] * 100:.1f}%",

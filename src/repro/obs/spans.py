@@ -515,6 +515,7 @@ def load_spans_jsonl(path: Pathish) -> Dict[str, Any]:
 #: Child-span name -> breakdown category.  The daemon emits exactly
 #: these names; anything else folds into "other".
 CHILD_CATEGORIES = {
+    "request.parse": "parse",
     "lock.wait": "lock",
     "cache.open": "cache",
     "cache.fetch": "cache",
@@ -676,7 +677,7 @@ def endpoint_breakdown(merged: Dict[str, Any]) -> List[Dict[str, Any]]:
             "net_queue_p99_ms": percentile(deltas, 0.99) / 1e6,
             "server_total_ms": server_total / 1e6,
         }
-        for category in ("lock", "cache", "journal", "write", "other"):
+        for category in ("parse", "lock", "cache", "journal", "write", "other"):
             row[f"{category}_share"] = (
                 shares.get(category, 0) / server_total if server_total else 0.0
             )

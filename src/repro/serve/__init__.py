@@ -9,7 +9,7 @@ behind a small JSON-over-HTTP API, and a load driver that slams it
 with concurrent client traffic replayed from the existing workloads
 and trace artifacts.
 
-Three modules, mirroring the api/backend split of scenario-driven
+Four modules, mirroring the api/backend split of scenario-driven
 simulators:
 
 * :mod:`~repro.serve.scenario` — the scenario library.  A scenario
@@ -17,14 +17,17 @@ simulators:
   group-management knobs, the bind address, and the default workload;
   ``repro serve scenarios/paper-server.json`` is the whole deployment
   story.
-* :mod:`~repro.serve.server` — :class:`CacheDaemon`, a stdlib
-  ``ThreadingHTTPServer`` hosting the cache.  ``POST /open`` is one
-  file open, ``POST /fetch`` a batch of opens, ``POST /invalidate`` a
-  callback break; ``GET /stats`` and ``GET /metrics`` (Prometheus
+* :mod:`~repro.serve.server` — :class:`CacheDaemon`, a
+  thread-per-connection ``socketserver`` daemon hosting the cache.
+  ``POST /open`` is one file open, ``POST /fetch`` a batch of opens,
+  ``POST /invalidate`` a callback break; ``GET /stats`` and ``GET /metrics`` (Prometheus
   text) expose the counters the replay simulator would have returned.
   The cache itself is single-threaded by design (see the audit notes
   in :mod:`repro.core.aggregating_cache`), so every cache touch is
   serialized under one lock — the daemon is the concurrency boundary.
+* :mod:`~repro.serve.http1` — the HTTP/1.1 subset both ends speak:
+  one head reader and one single-buffer message encoder, shared by
+  the daemon and :class:`~repro.serve.client.ServeConnection`.
 * :mod:`~repro.serve.client` — ``repro slam``: N worker processes
   replay shards of a trace (text or zero-copy ``.ctrace``) against the
   daemon, measure per-request latency, and report p50/p95/p99 plus the

@@ -21,7 +21,8 @@ forms exist:
   materializes the trace in the parent or pickles it to workers.
 
 Workers batch ``batch`` events per ``POST /fetch`` request over one
-keep-alive connection, time every request with ``perf_counter_ns``,
+keep-alive connection (:class:`ServeConnection`, a raw socket framed
+by :mod:`repro.serve.http1`), time every request with ``perf_counter_ns``,
 and retry exactly once on a reset connection (daemon restarts its
 listener thread pool, transient RSTs under load) before counting an
 error.  Results travel back over a ``multiprocessing`` queue; the
@@ -34,9 +35,9 @@ same code path minus the fork, which keeps tests and tiny smokes fast.
 
 from __future__ import annotations
 
-import http.client
 import json
 import multiprocessing
+import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,6 +46,7 @@ from urllib.parse import urlsplit
 
 from ..errors import ReproError
 from ..obs.quantiles import percentile
+from . import http1
 from . import schema as wire
 
 __all__ = [
@@ -60,12 +62,10 @@ __all__ = [
 ]
 
 #: Exceptions worth one reconnect-and-retry: the connection died under
-#: us (server listener churn, keep-alive timeout, transient RST).
+#: us (server listener churn, keep-alive timeout, transient RST).  A
+#: daemon that closed the connection before answering shows up as a
+#: ConnectionResetError too.
 RETRYABLE = (
-    http.client.NotConnected,
-    http.client.CannotSendRequest,
-    http.client.RemoteDisconnected,
-    http.client.ResponseNotReady,
     ConnectionResetError,
     ConnectionAbortedError,
     BrokenPipeError,
@@ -97,33 +97,33 @@ def _parse_url(url: str) -> Tuple[str, int]:
 
 
 class ServeConnection:
-    """One keep-alive HTTP connection speaking ``repro.serve/1``.
+    """One keep-alive HTTP/1.1 connection speaking ``repro.serve/1``.
 
-    ``request()`` JSON-round-trips one call and retries exactly once on
-    a dead connection (reopening it first); the retry count is exposed
-    so load reports can show how flaky the link was.  Anything beyond
-    one retry, any non-2xx response, or any malformed body raises
+    A raw socket (``TCP_NODELAY``) framed by :mod:`repro.serve.http1`:
+    each request leaves in one ``sendall`` and each reply is read with
+    the daemon's own head reader.  ``request()`` JSON-round-trips one
+    call and retries exactly once on a dead connection (reopening it
+    first); the retry count is exposed so load reports can show how
+    flaky the link was.  Anything beyond one retry, any non-2xx
+    response, any framing violation, or any malformed body raises
     :class:`SlamError` — the driver treats protocol violations as
-    failures, never as data.
+    failures, never as data.  A reply carrying ``Connection: close``
+    closes the socket; the next call dials a fresh one.
     """
 
     def __init__(self, url: str, timeout: float = 10.0):
         self.host, self.port = _parse_url(url)
         self.timeout = timeout
         self.retries = 0
-        self._conn: Optional[http.client.HTTPConnection] = None
-
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
+        self._authority = f"{self.host}:{self.port}"
+        self._sock: Optional[socket.socket] = None
+        self._rfile = None
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
     def __enter__(self) -> "ServeConnection":
         return self
@@ -138,14 +138,37 @@ class ServeConnection:
         body: Optional[bytes],
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, bytes]:
-        conn = self._connection()
-        sent = {"Content-Type": "application/json"} if body else {}
+        if self._sock is None:
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            )
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._rfile = sock, sock.makefile("rb")
+        fields = [("Host", self._authority)]
+        if body:
+            fields.append(("Content-Type", "application/json"))
         if headers:
-            sent.update(headers)
-        conn.request(method, path, body=body, headers=sent)
-        response = conn.getresponse()
-        payload = response.read()
-        return response.status, payload
+            fields.extend(headers.items())
+        self._sock.sendall(
+            http1.encode(f"{method} {path} HTTP/1.1", fields, body or b"")
+        )
+        head = http1.read_response(self._rfile)
+        if head is None:
+            raise ConnectionResetError("the daemon closed the connection")
+        version, status, reply = head
+        length = http1.body_length(reply)
+        if length is None:  # delimited by the end of the connection
+            payload = self._rfile.read()
+            self.close()
+            return status, payload
+        payload = self._rfile.read(length)
+        if len(payload) != length:
+            raise http1.FramingError(
+                f"reply ended after {len(payload)} of {length} body bytes"
+            )
+        if not http1.keep_alive(version, reply):
+            self.close()
+        return status, payload
 
     def request(
         self,
@@ -177,11 +200,14 @@ class ServeConnection:
             time.sleep(0.05)
             try:
                 status, raw = self._once(method, path, body, headers)
-            except (OSError, http.client.HTTPException) as error:
+            except (OSError, http1.FramingError) as error:
+                self.close()
                 raise SlamError(
                     f"{method} {path} failed after retry: {error!r}"
                 )
-        except (OSError, http.client.HTTPException) as error:
+        except (OSError, http1.FramingError) as error:
+            # A half-read reply leaves the stream out of step: drop it.
+            self.close()
             raise SlamError(f"{method} {path} failed: {error!r}")
         try:
             decoded = json.loads(raw.decode("utf-8")) if raw else {}

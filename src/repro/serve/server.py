@@ -1,9 +1,11 @@
 """The aggregating-cache daemon behind ``repro serve``.
 
 :class:`CacheDaemon` hosts one shared
-:class:`~repro.core.aggregating_cache.AggregatingServerCache` inside a
-stdlib ``ThreadingHTTPServer`` and speaks the ``repro.serve/1`` wire
-schema.  The design constraints:
+:class:`~repro.core.aggregating_cache.AggregatingServerCache` behind a
+thread-per-connection ``socketserver.ThreadingTCPServer`` and speaks
+the ``repro.serve/1`` wire schema over the HTTP/1.1 subset of
+:mod:`repro.serve.http1` (keep-alive, ``Content-Length`` bodies, one
+``sendall`` per response).  The design constraints:
 
 * **Single-writer cache.**  The cache and its successor metadata are
   plain dict machinery with no internal synchronization (see the
@@ -71,18 +73,20 @@ from __future__ import annotations
 
 import json
 import signal
+import socketserver
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs import spans as obs_spans
 from ..obs.quantiles import percentile
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import Span, SpanBuffer
+from . import http1
 from . import schema as wire
 from .scenario import Scenario
 
@@ -99,6 +103,16 @@ WINDOW_LATENCY_RING = 16384
 
 #: Default access-log rotation threshold.
 ACCESS_LOG_MAX_BYTES = 16 * 1024 * 1024
+
+#: Seconds a connection may sit without sending a byte before its
+#: handler thread gives up on it and closes it.  Without a bound, every
+#: half-open or abandoned keep-alive connection pins a thread forever.
+IDLE_TIMEOUT_S = 60.0
+
+#: Methods the daemon routes; any other is answered 501.
+_METHODS = ("GET", "POST")
+
+_TRACE_FIELD = obs_spans.TRACE_HEADER.lower()
 
 
 class LatencyRing:
@@ -219,8 +233,10 @@ class AccessLog:
     up to ``backups``) before the write, so no single log file grows
     without bound under slam load.
 
-    Thread-safe via its own lock — handler threads log after releasing
-    the cache lock, so logging never extends the serial section.
+    Thread-safe via its own re-entrant :attr:`lock`, which the daemon
+    also holds while it assigns the request id, so concurrent requests
+    reach the file in id order.  Handler threads write after releasing
+    the cache lock, so logging never extends the cache's serial section.
     """
 
     def __init__(
@@ -238,7 +254,7 @@ class AccessLog:
         self.backups = backups
         self.lines = 0
         self.rotations = 0
-        self._lock = threading.Lock()
+        self.lock = threading.RLock()
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._stream = self.path.open("a", encoding="utf-8")
@@ -247,7 +263,7 @@ class AccessLog:
     def write(self, record: Dict[str, Any]) -> None:
         line = json.dumps(record, sort_keys=True) + "\n"
         encoded = len(line.encode("utf-8"))
-        with self._lock:
+        with self.lock:
             if self._size and self._size + encoded > self.max_bytes:
                 self._rotate()
             self._stream.write(line)
@@ -273,7 +289,7 @@ class AccessLog:
         self.rotations += 1
 
     def close(self) -> None:
-        with self._lock:
+        with self.lock:
             if not self._stream.closed:
                 self._stream.close()
 
@@ -528,30 +544,36 @@ class CacheDaemon:
         )
         self._journaled = 0
         self._started = time.time()
+        self._date_cache = (0, "")
         self._stop = threading.Event()
+        #: Set once the reply to an accepted ``/shutdown`` has been
+        #: sent; run() waits for it, so the process cannot exit while
+        #: the handler thread is still writing that reply.
+        self._shutdown_replied: Optional[threading.Event] = None
         self._closed = False
 
         daemon = self
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"  # keep-alive: slam reuses connections
+        class Handler(socketserver.StreamRequestHandler):
             # Without this, Nagle + delayed ACK adds ~40ms to every
             # small keep-alive response and slam latency numbers measure
             # the TCP stack instead of the cache.
             disable_nagle_algorithm = True
 
-            def do_GET(self):  # noqa: N802 - http.server API
-                daemon._dispatch(self, "GET")
+            def setup(self):
+                self.timeout = IDLE_TIMEOUT_S
+                super().setup()
 
-            def do_POST(self):  # noqa: N802 - http.server API
-                daemon._dispatch(self, "POST")
+            def handle(self):
+                daemon._serve_connection(self.rfile, self.connection.sendall)
 
-            def log_message(self, format, *args):  # noqa: A002 - API name
-                pass  # per-request lines would drown the terminal under slam
+        class Server(socketserver.ThreadingTCPServer):
+            daemon_threads = True
+            allow_reuse_address = True
 
         bind_host = host if host is not None else scenario.host
         bind_port = port if port is not None else scenario.port
-        self._httpd = ThreadingHTTPServer((bind_host, bind_port), Handler)
+        self._httpd = Server((bind_host, bind_port), Handler)
         self.host, self.port = self._httpd.server_address[:2]
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-serve", daemon=True
@@ -687,6 +709,8 @@ class CacheDaemon:
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
+            if self._shutdown_replied is not None:
+                self._shutdown_replied.wait(timeout=5)
             self.close()
             if announce is not None:
                 reason = (
@@ -731,54 +755,80 @@ class CacheDaemon:
         ("/stats", "/metrics", "/healthz", "/journal")
     )
 
-    def _dispatch(self, handler: BaseHTTPRequestHandler, method: str) -> None:
+    def _serve_connection(
+        self, rfile: BinaryIO, send: Callable[[bytes], Any]
+    ) -> None:
+        """Answer requests on one connection until it closes or idles out."""
+        try:
+            while True:
+                try:
+                    head = http1.read_request(rfile)
+                except http1.FramingError as error:
+                    send(
+                        self._reply(
+                            error.status,
+                            wire.error_body(str(error), error.status),
+                            close=True,
+                        )
+                    )
+                    return
+                if head is None or not self._dispatch(head, rfile, send):
+                    return
+        except OSError:
+            return  # idle timeout, or the peer reset or left mid-reply
+
+    def _dispatch(
+        self,
+        head: Tuple[str, str, str, Dict[str, str]],
+        rfile: BinaryIO,
+        send: Callable[[bytes], Any],
+    ) -> bool:
+        """Answer one request; returns whether the connection stays open."""
+        method, target, version, fields = head
         started = time.perf_counter_ns()
-        raw_path, _, query = handler.path.partition("?")
+        raw_path, _, query = target.partition("?")
         path = raw_path.rstrip("/") or "/"
-        root = self._open_server_span(handler, method, path)
+        root = self._open_server_span(fields, method, path)
+        keep = http1.keep_alive(version, fields)
         events = 0
         try:
-            if (method, path) not in self._ROUTES:
-                known = any(path == route for _m, route in self._ROUTES)
-                if known:
-                    raise wire.WireError(
-                        f"{path} does not accept {method}", status=405
-                    )
-                raise wire.WireError(f"unknown endpoint {path}", status=404)
-            if method == "POST":
-                length = int(handler.headers.get("Content-Length") or 0)
-                if length > wire.MAX_BODY_BYTES:
-                    raise wire.WireError(
-                        f"body of {length} bytes exceeds "
-                        f"{wire.MAX_BODY_BYTES}",
-                        status=413,
-                    )
-                raw = handler.rfile.read(length) if length else b""
-            else:
-                raw = b""
-            status, payload = self._handle(method, path, raw, query, root)
-        except wire.WireError as error:
+            parse = self._child(root, "request.parse")
+            try:
+                request = self._parse(
+                    method, path, query, version, fields, rfile, send
+                )
+            finally:
+                if parse is not None:
+                    parse.finish()
+            status, payload = self._handle(path, request, root)
+        except (wire.WireError, http1.FramingError) as error:
+            # A framing error leaves the stream out of step: close it.
+            keep = keep and not isinstance(error, http1.FramingError)
             # Record before responding: once a client has seen the reply
             # it may immediately scrape /stats, and the counters must
             # already include this request (no read-your-writes gap).
             request_id = self._record(
                 path, method, error.status, started, 0, root
             )
-            self._respond(
-                handler,
-                error.status,
-                wire.error_body(str(error), error.status),
-                trace_root=root,
+            send(
+                self._reply(
+                    error.status,
+                    wire.error_body(str(error), error.status),
+                    root=root,
+                    close=not keep,
+                )
             )
             self._finish_root(root, path, error.status, request_id, 0)
-            return
+            return keep
         except Exception as error:  # pragma: no cover - defensive 500
             request_id = self._record(path, method, 500, started, 0, root)
-            self._respond(
-                handler, 500, wire.error_body(repr(error), 500), trace_root=root
+            send(
+                self._reply(
+                    500, wire.error_body(repr(error), 500), root=root, close=True
+                )
             )
             self._finish_root(root, path, 500, request_id, 0)
-            return
+            return False
         if isinstance(payload, dict):
             events = int(payload.get("count", 0)) or (
                 1 if path in ("/open", "/invalidate") else 0
@@ -795,15 +845,72 @@ class CacheDaemon:
         )
         request_id = self._record(path, method, status, started, events, root)
         write_span = self._child(root, "response.write")
-        self._respond(handler, status, body, content_type, trace_root=root)
+        send(self._reply(status, body, content_type, root, close=not keep))
         if write_span is not None:
             write_span.finish()
             write_span.annotate("bytes", len(body))
         self._finish_root(root, path, status, request_id, events)
+        if path == "/shutdown":
+            self._shutdown_replied.set()
+        return keep
+
+    def _parse(
+        self,
+        method: str,
+        path: str,
+        query: str,
+        version: str,
+        fields: Dict[str, str],
+        rfile: BinaryIO,
+        send: Callable[[bytes], Any],
+    ) -> Any:
+        """Read one request's body and validate it for its endpoint.
+
+        Raises :class:`~repro.serve.http1.FramingError` when the body
+        cannot be read in step with the stream, and
+        :class:`~repro.serve.schema.WireError` for a well-framed
+        request the API rejects (the body has been consumed, so the
+        connection can carry on).
+        """
+        if method not in _METHODS:
+            raise http1.FramingError(f"method {method} is not supported", 501)
+        length = http1.body_length(fields) or 0
+        if length > wire.MAX_BODY_BYTES:
+            raise http1.FramingError(
+                f"body of {length} bytes exceeds {wire.MAX_BODY_BYTES}", 413
+            )
+        raw = b""
+        if length:
+            if (
+                version == "HTTP/1.1"
+                and fields.get("expect", "").lower() == "100-continue"
+            ):
+                send(http1.CONTINUE)
+            raw = rfile.read(length)
+            if len(raw) != length:
+                raise http1.FramingError(
+                    f"connection closed after {len(raw)} of {length} "
+                    f"body bytes"
+                )
+        if (method, path) not in self._ROUTES:
+            if path in self._KNOWN_PATHS:
+                raise wire.WireError(
+                    f"{path} does not accept {method}", status=405
+                )
+            raise wire.WireError(f"unknown endpoint {path}", status=404)
+        if path == "/open":
+            return wire.parse_open(wire.parse_body(raw, "open"))
+        if path == "/fetch":
+            return wire.parse_fetch(wire.parse_body(raw, "fetch"))
+        if path == "/invalidate":
+            return wire.parse_invalidate(wire.parse_body(raw, "invalidate"))
+        if path == "/stats":
+            return wire.parse_since(query)
+        return None
 
     # -- request tracing ---------------------------------------------------
     def _open_server_span(
-        self, handler: BaseHTTPRequestHandler, method: str, path: str
+        self, fields: Dict[str, str], method: str, path: str
     ) -> Optional[Span]:
         """The per-request server span, or None when tracing is off.
 
@@ -818,9 +925,7 @@ class CacheDaemon:
         buffer = self.spans
         if buffer is None:
             return None
-        context = obs_spans.parse_header(
-            handler.headers.get(obs_spans.TRACE_HEADER)
-        )
+        context = obs_spans.parse_header(fields.get(_TRACE_FIELD))
         if context is not None:
             return buffer.start_span(
                 f"{method} {path}",
@@ -894,6 +999,29 @@ class CacheDaemon:
         annotation.
         """
         elapsed = time.perf_counter_ns() - started_ns
+        log = self.access_log
+        if log is None:
+            return self._count(path, status, elapsed)
+        # Assign the id and write its line under the log's lock, so
+        # concurrent requests reach the file in id order.
+        with log.lock:
+            request_id = self._count(path, status, elapsed)
+            log.write(
+                {
+                    "ts": time.time(),
+                    "id": request_id,
+                    "endpoint": path,
+                    "method": method,
+                    "status": status,
+                    "latency_ns": elapsed,
+                    "events": events,
+                    "trace": root.trace if root is not None else None,
+                }
+            )
+        return request_id
+
+    def _count(self, path: str, status: int, elapsed: int) -> int:
+        """Count one request under the daemon lock; returns its id."""
         telemetry = self.telemetry
         bucket = path if path in self._KNOWN_PATHS else "/_other"
         with self._lock:
@@ -919,19 +1047,6 @@ class CacheDaemon:
                 telemetry.close_window(
                     self._counter_snapshot(), self.scenario.group_size
                 )
-        if self.access_log is not None:
-            self.access_log.write(
-                {
-                    "ts": time.time(),
-                    "id": request_id,
-                    "endpoint": path,
-                    "method": method,
-                    "status": status,
-                    "latency_ns": elapsed,
-                    "events": events,
-                    "trace": root.trace if root is not None else None,
-                }
-            )
         return request_id
 
     def _counter_snapshot(self) -> Tuple[int, ...]:
@@ -949,51 +1064,52 @@ class CacheDaemon:
             self._invalidations,
         )
 
-    @staticmethod
-    def _respond(
-        handler: BaseHTTPRequestHandler,
+    def _reply(
+        self,
         status: int,
         body: bytes,
         content_type: str = "application/json",
-        trace_root: Optional[Span] = None,
-    ) -> None:
-        try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", content_type)
-            handler.send_header("Content-Length", str(len(body)))
-            if trace_root is not None:
-                # Echo the trace back so a caller (and its logs) can
-                # confirm which trace the server actually recorded.
-                handler.send_header(
+        root: Optional[Span] = None,
+        close: bool = False,
+    ) -> bytes:
+        """One whole response message, ready for a single ``sendall``."""
+        fields = [("Content-Type", content_type)]
+        if root is not None:
+            # Echo the trace back so a caller (and its logs) can
+            # confirm which trace the server actually recorded.
+            fields.append(
+                (
                     obs_spans.TRACE_HEADER,
-                    obs_spans.format_header(
-                        trace_root.trace, trace_root.span
-                    ),
+                    obs_spans.format_header(root.trace, root.span),
                 )
-            handler.end_headers()
-            handler.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # client went away mid-response; nothing to clean up
+            )
+        fields.append(("Date", self._date()))
+        if close:
+            fields.append(("Connection", "close"))
+        return http1.encode(http1.status_line(status), fields, body)
+
+    def _date(self) -> str:
+        """The ``Date`` field value, formatted at most once a second."""
+        now = int(time.time())
+        second, text = self._date_cache
+        if second != now:
+            text = formatdate(now, usegmt=True)
+            self._date_cache = (now, text)
+        return text
 
     # -- endpoint handlers -------------------------------------------------
     def _handle(
-        self,
-        method: str,
-        path: str,
-        raw: bytes,
-        query: str = "",
-        root: Optional[Span] = None,
+        self, path: str, request: Any, root: Optional[Span] = None
     ) -> Tuple[int, Any]:
+        """Run one validated request (``request`` is :meth:`_parse`'s)."""
         if path == "/open":
-            return 200, self._do_open(wire.parse_body(raw, "open"), root)
+            return 200, self._do_open(request, root)
         if path == "/fetch":
-            return 200, self._do_fetch(wire.parse_body(raw, "fetch"), root)
+            return 200, self._do_fetch(request, root)
         if path == "/invalidate":
-            return 200, self._do_invalidate(
-                wire.parse_body(raw, "invalidate"), root
-            )
+            return 200, self._do_invalidate(request, root)
         if path == "/stats":
-            return 200, self.stats_payload(since=wire.parse_since(query))
+            return 200, self.stats_payload(since=request)
         if path == "/metrics":
             return 200, self.prometheus_text().encode("utf-8")
         if path == "/journal":
@@ -1006,16 +1122,18 @@ class CacheDaemon:
                     "shutdown over the wire is disabled by this scenario",
                     status=403,
                 )
-            # Respond first, then wake the run() loop; close() must not
-            # run on this handler thread (shutdown() would deadlock).
+            # Wake the run() loop, which closes once the reply is out;
+            # close() must not run on this handler thread (shutdown()
+            # would deadlock).
+            self._shutdown_replied = threading.Event()
             self._stop.set()
             return 200, {"stopping": True}
         raise wire.WireError(f"unknown endpoint {path}", status=404)  # pragma: no cover
 
     def _do_open(
-        self, payload: Dict[str, Any], root: Optional[Span] = None
+        self, request: Tuple[str, str], root: Optional[Span] = None
     ) -> Dict[str, Any]:
-        file_id, _client = wire.parse_open(payload)
+        file_id, _client = request
         cache = self.cache
         with self._locked(root):
             span = self._child(root, "cache.open")
@@ -1067,9 +1185,11 @@ class CacheDaemon:
             span.annotate("entries", len(entries))
 
     def _do_fetch(
-        self, payload: Dict[str, Any], root: Optional[Span] = None
+        self,
+        request: Tuple[List[str], str, bool],
+        root: Optional[Span] = None,
     ) -> Dict[str, Any]:
-        files, _client, detail = wire.parse_fetch(payload)
+        files, _client, detail = request
         cache = self.cache
         results: Optional[List[bool]] = [] if detail else None
         hits = 0
@@ -1114,9 +1234,8 @@ class CacheDaemon:
         return response
 
     def _do_invalidate(
-        self, payload: Dict[str, Any], root: Optional[Span] = None
+        self, file_id: str, root: Optional[Span] = None
     ) -> Dict[str, Any]:
-        file_id = wire.parse_invalidate(payload)
         with self._locked(root):
             span = self._child(root, "cache.invalidate")
             dropped = self.cache.invalidate(file_id)

@@ -6,6 +6,7 @@ closed via the context manager, so parallel test runs never collide on
 an address and no test leaks a socket.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -239,12 +240,16 @@ class TestDaemon:
             assert error["status"] == 404 and "not resident" in error["error"]
 
     def test_malformed_json_is_structured_400(self):
-        with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:
-            conn._connection().request(
-                "POST", "/open", body=b"{oops", headers={"Content-Type": "application/json"}
-            )
-            response = conn._connection().getresponse()
-            payload = json.loads(response.read())
+        with CacheDaemon(tiny_scenario()) as daemon:
+            conn = http.client.HTTPConnection(daemon.host, daemon.port, timeout=10)
+            try:
+                conn.request(
+                    "POST", "/open", body=b"{oops", headers={"Content-Type": "application/json"}
+                )
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
             assert response.status == 400
             assert payload["status"] == 400 and "JSON" in payload["error"]
 
@@ -817,6 +822,34 @@ class TestAccessLog:
             if target.exists():
                 for line in target.read_text().splitlines():
                     json.loads(line)
+
+    def test_ids_reach_the_file_in_order_under_concurrent_connections(self, tmp_path):
+        import threading
+
+        log = tmp_path / "access.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with CacheDaemon(tiny_scenario(), access_log=log) as daemon:
+
+                def drive(index):
+                    with ServeConnection(daemon.url, timeout=10) as conn:
+                        for request in range(300):
+                            conn.fetch([f"w{index}-{request % 7}"])
+
+                workers = [
+                    threading.Thread(target=drive, args=(index,), daemon=True)
+                    for index in range(8)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                    assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [json.loads(line)["id"] for line in log.read_text().splitlines()]
+        assert ids == list(range(1, 2401))
 
     def test_no_access_log_no_stats_section(self):
         with CacheDaemon(tiny_scenario()) as daemon, ServeConnection(daemon.url) as conn:

@@ -253,7 +253,8 @@ class TestDaemonTracing:
             span.name: span for span in buffer.spans() if span.parent == root.span
         }
         assert set(children) == {
-            "lock.wait", "cache.fetch", "journal.append", "response.write",
+            "request.parse", "lock.wait", "cache.fetch", "journal.append",
+            "response.write",
         }
         fetch = children["cache.fetch"].to_dict()["annotations"]
         assert fetch["events"] == 2
