@@ -6,7 +6,7 @@
 BENCH_JSON ?= BENCH_micro.json
 PYTHON ?= python
 
-.PHONY: install lint test perfbench-test bench bench-smoke bench-check trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
+.PHONY: install lint test figures-check perfbench-test bench bench-smoke bench-check trace-smoke ts-smoke serve-smoke live-obs-smoke spans-smoke charts examples report csv all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -22,6 +22,26 @@ lint:
 
 test:
 	PYTHONPATH=src pytest tests/
+
+# Reproduction check: regenerate the committed Figure 4 panels, the
+# Figure 3 server panel (through a 2-worker sweep) and the cooperation
+# study at full scale, and diff each byte for byte against results/csv/.
+FIGURES_CHECK_DIR ?= build/figures-check
+
+figures-check:
+	@mkdir -p $(FIGURES_CHECK_DIR)
+	@set -e; for workload in workstation users server; do \
+		PYTHONPATH=src $(PYTHON) -m repro fig4 --workload $$workload \
+			--csv $(FIGURES_CHECK_DIR)/fig4-$$workload.csv > /dev/null; \
+		diff -u results/csv/fig4-$$workload.csv $(FIGURES_CHECK_DIR)/fig4-$$workload.csv; \
+	done
+	@PYTHONPATH=src $(PYTHON) -m repro fig3 --workload server --workers 2 \
+		--csv $(FIGURES_CHECK_DIR)/fig3-server.csv > /dev/null
+	@diff -u results/csv/fig3-server.csv $(FIGURES_CHECK_DIR)/fig3-server.csv
+	@PYTHONPATH=src $(PYTHON) -m repro cooperation --workload server \
+		--csv $(FIGURES_CHECK_DIR)/cooperation-server.csv > /dev/null
+	@diff -u results/csv/cooperation-server.csv $(FIGURES_CHECK_DIR)/cooperation-server.csv
+	@echo "figures-check: every regenerated CSV matches results/csv/"
 
 # The repository benchmark's helper tests (perfbench/ is outside the
 # suite's testpaths).

@@ -250,6 +250,28 @@ def test_aggregating_replay_fast_throughput(benchmark):
     _record_throughput(benchmark, len(sequence))
 
 
+def test_two_level_hierarchy_replay_throughput(benchmark):
+    # One Figure 4 point: an LRU client filter in front of an
+    # aggregating server cache, over the integer codes the sweeps
+    # replay (level by level: LRU miss pass, then the fused loop).
+    from repro.caching.multilevel import TwoLevelHierarchy
+    from repro.core.aggregating_cache import AggregatingServerCache
+    from repro.experiments.common import FAST_EVENTS, workload_codes
+
+    codes = workload_codes("server", FAST_EVENTS)
+
+    def run():
+        hierarchy = TwoLevelHierarchy(
+            LRUCache(250), AggregatingServerCache(300, group_size=5)
+        )
+        return hierarchy.replay(codes)
+
+    result = benchmark(run)
+    assert result.client_stats.accesses == len(codes)
+    assert result.server_requests == result.client_stats.misses
+    _record_throughput(benchmark, len(codes))
+
+
 # -- columnar kernel -------------------------------------------------------
 #
 # The batch kernel consumes int columns straight off the (mmap-backed)

@@ -13,7 +13,7 @@ tail (Section 3).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from ..obs import registry as _obs
 from .base import Cache
@@ -64,6 +64,46 @@ class LRUCache(Cache):
     def keys(self) -> Iterator[str]:
         """Resident keys from LRU victim to MRU head."""
         return iter(self._order)
+
+    def replay_misses(self, sequence: Iterable[str]) -> List[str]:
+        """Demand-access every key in order; return the misses, in order.
+
+        Count-for-count the same as calling :meth:`access` per key —
+        recency order, hits, misses, evictions, and evict-listener calls
+        — in one inlined pass over the raw ``OrderedDict``.  The miss
+        list is exactly the stream a cache behind this one would see,
+        which is how the multi-level hierarchy replays level by level.
+        Collection-on runs and subclasses take the per-event path so
+        their metrics and hooks are untouched.
+        """
+        if _obs.ENABLED or type(self) is not LRUCache:
+            access = self.access
+            return [key for key in sequence if not access(key)]
+        order = self._order
+        move_to_end = order.move_to_end
+        popitem = order.popitem
+        listener = self.evict_listener
+        capacity = self.capacity
+        misses: List[str] = []
+        record_miss = misses.append
+        hits = evictions = 0
+        for key in sequence:
+            if key in order:
+                move_to_end(key)
+                hits += 1
+                continue
+            record_miss(key)
+            while len(order) >= capacity:
+                victim, _value = popitem(last=False)
+                if listener is not None:
+                    listener(victim)
+                evictions += 1
+            order[key] = None
+        stats = self.stats
+        stats.hits += hits
+        stats.misses += len(misses)
+        stats.evictions += evictions
+        return misses
 
     # -- aggregating-cache support ---------------------------------------
     def install_at_tail(self, key: str) -> bool:

@@ -6,6 +6,17 @@ can only learn from — the client's miss stream.  The hierarchy is
 policy-agnostic at both levels; the aggregating server cache plugs in
 through the same interface as LRU/LFU (see
 :class:`repro.core.aggregating_cache.AggregatingServerCache`).
+
+Replays run *level by level*: each level turns its whole input stream
+into its miss stream in one tight pass (:func:`_level_misses`), and that
+miss stream feeds the next level.  This is exact because a level's
+state depends only on the keys it is shown, in order — interleaving
+the levels per event changes nothing any level can observe.  Where
+that premise could fail, :func:`_level_by_level_ok` keeps the
+interleaved per-event loop: collection on (registry and flight-recorder
+order), an eviction listener that could watch the other levels, state
+shared between levels (a successor tracker, a random generator, the
+same cache object twice), or a level type outside the known policies.
 """
 
 from __future__ import annotations
@@ -13,7 +24,75 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..obs import registry as _obs
 from .base import Cache, CacheStats, NullCache
+from .lru import LRUCache
+from .random_cache import RandomCache
+
+
+def _level_by_level_ok(levels: Sequence[Cache]) -> bool:
+    """Whether replaying ``levels`` one at a time matches the per-event loop.
+
+    Level types are checked by exact type (a subclass may override
+    anything): the ``repro.caching`` policies, :class:`NullCache`, and
+    the aggregating server cache, whose state depends only on the keys
+    they are shown.  Both are imported at call time: the package and
+    the aggregating cache module are still initialising when this
+    module is first imported.
+    """
+    if _obs.ENABLED:
+        return False
+    from ..core.aggregating_cache import AggregatingServerCache
+    from . import POLICIES
+
+    isolated = {NullCache, *POLICIES.values()}
+    shared = set()
+    for level in levels:
+        kind = type(level)
+        if kind is AggregatingServerCache:
+            if level._cache.evict_listener is not None:
+                return False
+            state = level.tracker
+        elif kind not in isolated:
+            return False
+        elif kind is LRUCache and level.evict_listener is not None:
+            return False
+        elif kind is RandomCache:
+            state = level._rng
+        else:
+            state = None
+        for owned in (level, state):
+            if owned is None:
+                continue
+            if id(owned) in shared:
+                return False
+            shared.add(id(owned))
+    return True
+
+
+def _level_misses(cache: Cache, stream: Sequence[str]) -> Sequence[str]:
+    """Replay ``stream`` through one level; return its misses, in order."""
+    from ..core.aggregating_cache import AggregatingServerCache
+
+    kind = type(cache)
+    if kind is NullCache:
+        stream = list(stream)
+        cache.stats.misses += len(stream)
+        return stream
+    if kind is LRUCache or kind is AggregatingServerCache:
+        return cache.replay_misses(stream)
+    access = cache.access
+    return [key for key in stream if not access(key)]
+
+
+def _replay(levels: Sequence[Cache], sequence: Sequence[str], access) -> None:
+    """Level by level when that is exact, else ``access(key)`` per key."""
+    if _level_by_level_ok(levels):
+        for level in levels:
+            sequence = _level_misses(level, sequence)
+    else:
+        for key in sequence:
+            access(key)
 
 
 @dataclass
@@ -66,9 +145,13 @@ class TwoLevelHierarchy:
         return False
 
     def replay(self, sequence: Sequence[str]) -> HierarchyResult:
-        """Drive the hierarchy with a full access sequence."""
-        for key in sequence:
-            self.access(key)
+        """Drive the hierarchy with a full access sequence.
+
+        Level by level when that is exact (see the module docstring),
+        otherwise one interleaved :meth:`access` per key; the results
+        are identical either way.
+        """
+        _replay((self.client, self.server), sequence, self.access)
         return self.result()
 
     def result(self) -> HierarchyResult:
@@ -105,7 +188,10 @@ class MultiLevelHierarchy:
         return -1
 
     def replay(self, sequence: Sequence[str]) -> List[CacheStats]:
-        """Drive the stack with a full sequence; returns per-level stats."""
-        for key in sequence:
-            self.access(key)
+        """Drive the stack with a full sequence; returns per-level stats.
+
+        Level by level when that is exact, as for
+        :meth:`TwoLevelHierarchy.replay`.
+        """
+        _replay(self.levels, sequence, self.access)
         return [level.stats.snapshot() for level in self.levels]

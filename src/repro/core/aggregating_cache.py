@@ -48,7 +48,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..caching.base import Cache, CacheStats
 from ..caching.lru import LRUCache, record_lru_counters
@@ -103,6 +103,115 @@ class GroupFetchLog:
         if not self.group_fetches:
             return 0.0
         return self.files_retrieved / self.group_fetches
+
+
+def fused_loop_ok(owner) -> bool:
+    """Whether :func:`replay_groups` reproduces ``owner``'s access path.
+
+    The one predicate both aggregating caches build their fast-path
+    check on.  The fused loop hard-codes LRU successor lists and the
+    stock group builder, so alternative policies and builders take the
+    per-event path.  So do replays that need per-event visibility: an
+    active flight recorder, or per-fetch ``GroupFetchLog`` records (the
+    fused loop batches its accounting and would emit neither).
+    """
+    tracker = owner.tracker
+    builder = owner.builder
+    return (
+        not (_obs.ENABLED and _tracing.ACTIVE is not None)
+        and owner.fetch_log.records is None
+        and type(tracker) is SuccessorTracker
+        and tracker.policy == "lru"
+        and type(builder) is GroupBuilder
+        and builder.tracker is tracker
+        and builder.group_size == owner.group_size
+        and all(type(slist) is LRUSuccessorList for slist in tracker._lists.values())
+    )
+
+
+def replay_groups(
+    owner, sequence: Iterable, prev, observe_group=None, observe_chain=None
+) -> Tuple[List, int]:
+    """The fused aggregating loop over one cache's raw state.
+
+    Per event: observe the transition from ``prev`` on the owner's
+    tracker, then an LRU demand access on its inner cache; on a miss,
+    build the group and install the companions at the LRU tail.  That
+    is :meth:`AggregatingClientCache.access` and (with
+    ``observe_requests``) :meth:`AggregatingServerCache.access`
+    count-for-count, as one loop over the raw dicts; hit counts are
+    batched into the stats once per replay instead of once per event.
+    Callers check :func:`fused_loop_ok` first.
+
+    ``prev`` is the tracker's previous key in the sequence's key space
+    (the client's interned replays pass it interned).  The optional
+    ``observe_*`` callables receive every group's size.  Returns the
+    demand misses in order (the stream a cache behind this one sees)
+    and the number of singleton groups built, counted only when
+    ``observe_group`` is given.
+    """
+    tracker = owner.tracker
+    cache = owner._cache
+    order = cache._order
+    listener = cache.evict_listener
+    capacity = cache.capacity
+    stats = cache.stats
+    lists = tracker._lists
+    lists_get = lists.get
+    successor_capacity = tracker.capacity
+    group_size = owner.group_size
+    install = cache.install_group_at_tail_fast
+    misses: List = []
+    record_miss = misses.append
+    hits = evictions = singleton_builds = 0
+    files_retrieved = predicted_installed = 0
+    for file_id in sequence:
+        if prev is not None:
+            slist = lists_get(prev)
+            if slist is None:
+                slist = LRUSuccessorList(successor_capacity)
+                slist._items = [file_id]
+                lists[prev] = slist
+            else:
+                items = slist._items
+                if items[0] != file_id:
+                    try:
+                        items.remove(file_id)
+                    except ValueError:
+                        if len(items) >= successor_capacity:
+                            items.pop()
+                    items.insert(0, file_id)
+        prev = file_id
+        if file_id in order:
+            order.move_to_end(file_id)
+            hits += 1
+            continue
+        record_miss(file_id)
+        while len(order) >= capacity:
+            victim, _value = order.popitem(last=False)
+            if listener is not None:
+                listener(victim)
+            evictions += 1
+        order[file_id] = None
+        members = build_group_fast(lists_get, group_size, file_id)
+        if observe_group is not None:
+            observe_group(len(members))
+            observe_chain(len(members))
+            if len(members) == 1:
+                singleton_builds += 1
+        installed = install(order, members[1:], stats)
+        files_retrieved += 1 + installed
+        predicted_installed += installed
+    if hits or misses:
+        tracker._previous = prev
+    stats.hits += hits
+    stats.misses += len(misses)
+    stats.evictions += evictions
+    log = owner.fetch_log
+    log.group_fetches += len(misses)
+    log.files_retrieved += files_retrieved
+    log.predicted_installed += predicted_installed
+    return misses, singleton_builds
 
 
 class AggregatingClientCache:
@@ -260,41 +369,25 @@ class AggregatingClientCache:
             registry.counter("successors.transitions").inc(transitions)
 
     def _fast_replay_ok(self) -> bool:
-        """Whether the inlined replay loop matches this configuration.
+        """Whether :func:`replay_groups` matches this configuration.
 
-        The fast loop hard-codes LRU successor lists and the stock group
-        builder, and bypasses the :meth:`access` / ``_install_companions``
-        hooks — so subclasses and alternative policies take the generic
-        per-event path.  So do replays that need per-event visibility:
-        an active flight recorder, or per-fetch ``GroupFetchLog``
-        records (the fused loop batches its accounting and would emit
-        neither).
+        The fused loop bypasses the :meth:`access` /
+        ``_install_companions`` hooks, so subclasses take the generic
+        per-event path, as does anything :func:`fused_loop_ok` rejects.
         """
         return (
             self.use_fast_replay
-            and not (_obs.ENABLED and _tracing.ACTIVE is not None)
-            and self.fetch_log.records is None
             and type(self) is AggregatingClientCache
-            and type(self.tracker) is SuccessorTracker
-            and self.tracker.policy == "lru"
-            and type(self.builder) is GroupBuilder
-            and self.builder.tracker is self.tracker
-            and self.builder.group_size == self.group_size
-            and all(
-                type(slist) is LRUSuccessorList
-                for slist in self.tracker._lists.values()
-            )
+            and fused_loop_ok(self)
         )
 
     def _replay_fast(self, sequence: Sequence[str], intern: bool) -> CacheStats:
-        """Inlined replay: observe + access + build over the raw dicts.
+        """The fused loop, plus this cache's batched replay metrics.
 
         Count-for-count identical to the generic loop (asserted by the
-        fast-path equality tests); hit counts are batched into the stats
-        object once per replay instead of once per event.
+        fast-path equality tests).
         """
-        tracker = self.tracker
-        prev = tracker._previous
+        prev = self.tracker._previous
         if intern:
             codes, table = intern_sequence(sequence)
             if prev is not None:
@@ -306,76 +399,19 @@ class AggregatingClientCache:
         # case, and only when collection is enabled).
         record = _obs.ENABLED
         observe_group = observe_chain = None
-        singleton_builds = 0
         if record:
             registry = _obs.get_registry()
             observe_group = registry.histogram("client_cache.group_fetch.size").observe
             observe_chain = registry.histogram("grouping.chain.length").observe
             baseline = self._metrics_baseline()
-            prev_was_none = prev is None
             started = time.perf_counter_ns()
-        cache = self._cache
-        order = cache._order
-        listener = cache.evict_listener
-        capacity = cache.capacity
-        stats = cache.stats
-        lists = tracker._lists
-        lists_get = lists.get
-        successor_capacity = tracker.capacity
-        group_size = self.group_size
-        install = cache.install_group_at_tail_fast
-        hits = misses = evictions = 0
-        group_fetches = files_retrieved = predicted_installed = 0
-        for file_id in sequence:
-            if prev is not None:
-                slist = lists_get(prev)
-                if slist is None:
-                    slist = LRUSuccessorList(successor_capacity)
-                    slist._items = [file_id]
-                    lists[prev] = slist
-                else:
-                    items = slist._items
-                    if items[0] != file_id:
-                        try:
-                            items.remove(file_id)
-                        except ValueError:
-                            if len(items) >= successor_capacity:
-                                items.pop()
-                        items.insert(0, file_id)
-            prev = file_id
-            if file_id in order:
-                order.move_to_end(file_id)
-                hits += 1
-                continue
-            misses += 1
-            while len(order) >= capacity:
-                victim, _value = order.popitem(last=False)
-                if listener is not None:
-                    listener(victim)
-                evictions += 1
-            order[file_id] = None
-            members = build_group_fast(lists_get, group_size, file_id)
-            if observe_group is not None:
-                observe_group(len(members))
-                observe_chain(len(members))
-                if len(members) == 1:
-                    singleton_builds += 1
-            group_fetches += 1
-            installed = install(order, members[1:], stats)
-            files_retrieved += 1 + installed
-            predicted_installed += installed
-        if hits or misses:
-            tracker._previous = prev
-        stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        log = self.fetch_log
-        log.group_fetches += group_fetches
-        log.files_retrieved += files_retrieved
-        log.predicted_installed += predicted_installed
+        _misses, singleton_builds = replay_groups(
+            self, sequence, prev, observe_group, observe_chain
+        )
+        stats = self._cache.stats
         if record:
             events = len(sequence)
-            transitions = events - 1 if (prev_was_none and events) else events
+            transitions = events - 1 if (prev is None and events) else events
             self._record_replay_metrics(registry, baseline, transitions)
             # Per-policy counters the generic path records inside the
             # inner LRU cache, as one batched delta (fast branch only —
@@ -506,6 +542,37 @@ class AggregatingServerCache(Cache):
         if log.records is not None:
             log.record(key, 1 + installed, installed)
         return False
+
+    def _fast_replay_ok(self) -> bool:
+        """Whether :meth:`replay_misses` may run :func:`replay_groups`.
+
+        Only when the server learns from its own requests (the loop
+        always observes), and only with collection off: the loop records
+        none of :meth:`access`'s per-request metrics, so collection-on
+        replays take the per-event path and count exactly as it does.
+        """
+        return (
+            self.observe_requests
+            and not _obs.ENABLED
+            and type(self) is AggregatingServerCache
+            and fused_loop_ok(self)
+        )
+
+    def replay_misses(self, sequence: Iterable[str]) -> List[str]:
+        """Serve every request in order; return the server misses, in order.
+
+        Count-for-count the same as calling :meth:`access` per request,
+        through the fused loop when the configuration allows it.
+        """
+        if self._fast_replay_ok():
+            return replay_groups(self, sequence, self.tracker._previous)[0]
+        access = self.access
+        return [key for key in sequence if not access(key)]
+
+    def replay(self, sequence: Iterable[str]) -> CacheStats:
+        """Drive the cache with a full request sequence; returns its stats."""
+        self.replay_misses(sequence)
+        return self.stats.snapshot()
 
     def _lookup(self, key: str) -> bool:  # pragma: no cover - access() overrides
         return key in self._cache

@@ -87,6 +87,7 @@ _FLAG_KIND = 1
 _FLAG_CLIENT = 2
 _FLAG_USER = 4
 _FLAG_PROCESS = 8
+_FLAG_MASK = _FLAG_KIND | _FLAG_CLIENT | _FLAG_USER | _FLAG_PROCESS
 
 #: Fixed kind numbering: EventKind declaration order.
 KINDS: Tuple[EventKind, ...] = tuple(EventKind)
@@ -545,9 +546,12 @@ def _decode_symbol_block(
         )
     symbols: List[str] = []
     cursor = blob_off
-    for length in lengths:
-        symbols.append(bytes(view[cursor : cursor + length]).decode("utf-8"))
-        cursor += length
+    try:
+        for length in lengths:
+            symbols.append(bytes(view[cursor : cursor + length]).decode("utf-8"))
+            cursor += length
+    except UnicodeDecodeError as exc:
+        raise ColumnarFormatError(f"{source}: symbol is not UTF-8 ({exc})") from exc
     size = end - offset
     return tuple(symbols), size + _pad8(size)
 
@@ -564,8 +568,11 @@ def read_columnar(
     single allocation; columns are views into it).
 
     Raises :class:`ColumnarFormatError` on any structural problem:
-    wrong magic, unsupported version, or a size/offset that disagrees
-    with the actual file.
+    wrong magic, unsupported version, a size/offset that disagrees with
+    the actual file or with the other sections, a symbol count that
+    disagrees with the header, or undecodable text.  Codes inside the
+    columns are *not* scanned (that would cost a pass per read); use
+    :func:`validate_columnar` on untrusted files.
     """
     path = Path(source)
     label = str(path)
@@ -593,10 +600,7 @@ def read_columnar(
         flags,
         _reserved,
         n_events,
-        n_files,
-        _n_clients,
-        _n_users,
-        _n_processes,
+        *symbol_counts,
         columns_offset,
         footer_offset,
         file_size,
@@ -613,10 +617,32 @@ def read_columnar(
             f"{len(view)} (truncated or overwritten)"
         )
 
+    # Check the whole layout against the header before slicing, so a
+    # lying offset or count can never yield a short or misaligned view.
+    if flags & ~_FLAG_MASK:
+        raise ColumnarFormatError(f"{label}: unknown flag bits {flags:#x}")
+    if columns_offset % 8 or footer_offset % 8:
+        raise ColumnarFormatError(f"{label}: section offsets are not 8-byte aligned")
+    name_off = _HEADER.size + 2
+    if name_off > file_size:
+        raise ColumnarFormatError(f"{label}: truncated trace name")
     name_len = struct.unpack_from("<H", view, _HEADER.size)[0]
-    name = bytes(
-        view[_HEADER.size + 2 : _HEADER.size + 2 + name_len]
-    ).decode("utf-8")
+    columns_end = columns_offset + 4 * n_events + _pad8(4 * n_events)
+    if flags & _FLAG_KIND:
+        columns_end += n_events + _pad8(n_events)
+    for flag in (_FLAG_CLIENT, _FLAG_USER, _FLAG_PROCESS):
+        if flags & flag:
+            columns_end += 4 * n_events + _pad8(4 * n_events)
+    if not name_off + name_len <= columns_offset <= columns_end <= footer_offset:
+        raise ColumnarFormatError(
+            f"{label}: name, columns and footer overlap or overrun "
+            f"(columns at {columns_offset}-{columns_end}, footer at "
+            f"{footer_offset})"
+        )
+    try:
+        name = bytes(view[name_off : name_off + name_len]).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ColumnarFormatError(f"{label}: trace name is not UTF-8") from exc
 
     cursor = columns_offset
     file_codes = _u32_view(view, cursor, n_events)
@@ -632,23 +658,23 @@ def read_columnar(
             cursor += 4 * n_events + _pad8(4 * n_events)
         else:
             optional[flag] = None
-    if cursor > footer_offset:
-        raise ColumnarFormatError(
-            f"{label}: columns overrun the footer offset"
-        )
 
     cursor = footer_offset
     blocks: List[Tuple[str, ...]] = []
-    for _ in range(4):
+    for expected, role in zip(symbol_counts, ("file", "client", "user", "process")):
         symbols, advance = _decode_symbol_block(view, cursor, label)
+        if len(symbols) != expected:
+            raise ColumnarFormatError(
+                f"{label}: footer has {len(symbols)} {role} symbols, "
+                f"header says {expected}"
+            )
         blocks.append(symbols)
         cursor += advance
-    file_symbols, client_symbols, user_symbols, process_symbols = blocks
-    if len(file_symbols) != n_files:
+    if cursor != file_size:
         raise ColumnarFormatError(
-            f"{label}: footer has {len(file_symbols)} file symbols, "
-            f"header says {n_files}"
+            f"{label}: footer ends at {cursor}, file has {file_size} bytes"
         )
+    file_symbols, client_symbols, user_symbols, process_symbols = blocks
 
     return ColumnarTrace(
         name=name,
@@ -721,9 +747,26 @@ def describe_columnar(source: Union[str, Path]) -> Dict[str, object]:
 
 
 def validate_columnar(source: Union[str, Path]) -> bool:
-    """Whether a file is a readable, well-formed columnar trace."""
+    """Whether a file is a well-formed columnar trace whose events all decode.
+
+    The full structural check for untrusted files: everything
+    :func:`read_columnar` checks, plus one pass over each code column
+    confirming every code is below its symbol count and every kind byte
+    is an :class:`~repro.traces.events.EventKind` code.  When this
+    returns True, decoding any event of the file succeeds.
+    """
     try:
-        describe_columnar(source)
-    except (OSError, ColumnarFormatError, struct.error):
+        trace = read_columnar(source)
+    except (OSError, ColumnarFormatError):
         return False
-    return True
+    limits = (
+        (trace.file_codes, len(trace.file_symbols)),
+        (trace.kind_codes, len(KINDS)),
+        (trace.client_codes, len(trace.client_symbols)),
+        (trace.user_codes, len(trace.user_symbols)),
+        (trace.process_codes, len(trace.process_symbols)),
+    )
+    return all(
+        codes is None or not len(codes) or max(codes) < limit
+        for codes, limit in limits
+    )
