@@ -276,8 +276,9 @@ def test_two_level_hierarchy_replay_throughput(benchmark):
 #
 # The batch kernel consumes int columns straight off the (mmap-backed)
 # columnar trace.  Two numbers matter: the full-system replay (stateful
-# LRU loop, bounded by python dict ops) and the pure-int column scan —
-# the 10M+ events/s hot path the strict gate tracks.
+# array LRU loop, through the engine's dispatch and called directly)
+# and the pure-int column scan — the 10M+ events/s hot path the strict
+# gate tracks.
 
 
 def _columnar_trace():
@@ -287,11 +288,10 @@ def _columnar_trace():
 
 
 def test_columnar_kernel_replay_throughput(benchmark):
-    # The dict-based kernel, invoked directly: the engine's dispatch
-    # now prefers the array kernel, but this baseline stays pinned to
-    # replay_columns so the two eviction cores remain comparable.
+    # The engine's columnar dispatch, `system.replay(columnar)`: the
+    # eligibility checks, the array import, the fused replay and the
+    # OrderedDict export, as every caller pays them.
     from repro.sim.engine import DistributedFileSystem
-    from repro.sim.kernel import replay_columns
 
     ctrace = _columnar_trace()
 
@@ -299,7 +299,7 @@ def test_columnar_kernel_replay_throughput(benchmark):
         system = DistributedFileSystem(
             client_capacity=250, server_capacity=300, group_size=5
         )
-        return replay_columns(system, ctrace)
+        return system.replay(ctrace)
 
     metrics = benchmark(run)
     assert metrics.total_client_accesses == len(ctrace)
@@ -307,10 +307,9 @@ def test_columnar_kernel_replay_throughput(benchmark):
 
 
 def test_columnar_kernel_v2_replay_throughput(benchmark):
-    # The array-backed kernel through the real dispatch entry point —
-    # import, fused replay, and OrderedDict export all included, so the
-    # recorded number is what `system.replay(columnar)` actually
-    # delivers end to end.
+    # The array-backed kernel called directly — import, fused replay,
+    # and OrderedDict export all included, without the engine's
+    # dispatch in front of it.
     from repro.sim.engine import DistributedFileSystem
     from repro.sim.kernel import replay_columns_v2
 

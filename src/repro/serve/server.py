@@ -810,6 +810,7 @@ class CacheDaemon:
             request_id = self._record(
                 path, method, error.status, started, 0, root
             )
+            self._annotate_root(root, path, error.status, request_id, 0)
             send(
                 self._reply(
                     error.status,
@@ -818,16 +819,19 @@ class CacheDaemon:
                     close=not keep,
                 )
             )
-            self._finish_root(root, path, error.status, request_id, 0)
+            if root is not None:
+                root.finish()
             return keep
         except Exception as error:  # pragma: no cover - defensive 500
             request_id = self._record(path, method, 500, started, 0, root)
+            self._annotate_root(root, path, 500, request_id, 0)
             send(
                 self._reply(
                     500, wire.error_body(repr(error), 500), root=root, close=True
                 )
             )
-            self._finish_root(root, path, 500, request_id, 0)
+            if root is not None:
+                root.finish()
             return False
         if isinstance(payload, dict):
             events = int(payload.get("count", 0)) or (
@@ -844,12 +848,17 @@ class CacheDaemon:
             else "application/json"
         )
         request_id = self._record(path, method, status, started, events, root)
-        write_span = self._child(root, "response.write")
-        send(self._reply(status, body, content_type, root, close=not keep))
-        if write_span is not None:
-            write_span.finish()
+        if root is None:
+            send(self._reply(status, body, content_type, None, close=not keep))
+        else:
+            # Annotate before the send: a client may read the spans the
+            # moment it has the reply.  Only the durations stamp after.
+            write_span = self._child(root, "response.write")
             write_span.annotate("bytes", len(body))
-        self._finish_root(root, path, status, request_id, events)
+            self._annotate_root(root, path, status, request_id, events)
+            send(self._reply(status, body, content_type, root, close=not keep))
+            write_span.finish()
+            root.finish()
         if path == "/shutdown":
             self._shutdown_replied.set()
         return keep
@@ -946,16 +955,16 @@ class CacheDaemon:
         )
 
     @staticmethod
-    def _finish_root(
+    def _annotate_root(
         root: Optional[Span],
         path: str,
         status: int,
         request_id: int,
         events: int,
     ) -> None:
+        """Note the answer on the request's span, before it is sent."""
         if root is None:
             return
-        root.finish()
         root.annotate("endpoint", path)
         root.annotate("status", status)
         root.annotate("request_id", request_id)

@@ -23,12 +23,13 @@ overhead that dominates the hot path.  The loop is count-for-count
 identical to the generic path — the tests assert byte-identical
 :class:`SystemMetrics` and post-replay cache and successor state — and
 any configuration the fast loop does not cover falls back to the
-generic one.  The columnar batch kernels cover the same configurations
-minus write invalidation (they ignore the kind column), so invalidating
-columnar replays decode to events and take the fast loop.  Passing
-``intern=True`` additionally replaces file-id strings with dense
-integer codes for the duration of the replay (all policies are
-key-agnostic, so every counter is unchanged).
+generic one.  Traces that carry integer columns (a columnar trace, or
+a text trace as :func:`~repro.traces.reader.read_trace` returns it)
+replay the same configurations on the array kernel of
+:mod:`repro.sim.kernel`, write invalidation included, without ever
+building event objects.  Passing ``intern=True`` additionally replaces
+file-id strings with dense integer codes for the duration of the
+replay (all policies are key-agnostic, so every counter is unchanged).
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ class DistributedFileSystem:
         everywhere (clients and server cache).  Grouping's group
         overlaps impose no extra consistency burden here — exactly the
         paper's Section 2.1 point — because invalidation is per file,
-        not per group.  Invalidating replays run the same fused fast
-        loop as the rest (only the columnar batch kernels decline
-        them), so the setting costs the mutation work and nothing more.
+        not per group.  Invalidating replays run the same fused loop
+        and array kernel as the rest (the kernel reads the kind
+        column), so the setting costs the mutation work and nothing
+        more.
     """
 
     def __init__(
@@ -267,8 +269,8 @@ class DistributedFileSystem:
         flight recorder forces the generic path: the fused loop batches
         its accounting and cannot emit per-decision trace records, and
         the tracing contract is that traced and untraced replays count
-        identically.  The columnar kernels need more than this — see
-        :meth:`_kernel_ok`.
+        identically.  The columnar array kernel covers the same
+        configurations — see :meth:`_kernel_ok`.
         """
         if not self.use_fast_replay:
             return False
@@ -294,15 +296,16 @@ class DistributedFileSystem:
         return True
 
     def _kernel_ok(self) -> bool:
-        """Whether a columnar batch kernel may replay for this system.
+        """Whether the columnar array kernel may replay for this system.
 
-        The kernels (:mod:`repro.sim.kernel`) read only the file and
-        client columns, never the kind column, so on top of
-        :meth:`_fast_replay_ok` they need write invalidation off.
-        Every caller that picks a kernel asks this, not the fast-loop
-        predicate.
+        The kernel (:mod:`repro.sim.kernel`) encodes the same
+        configurations as the fused loop, write invalidation included
+        (it reads the kind column), so this is :meth:`_fast_replay_ok`.
+        Every caller that picks the kernel asks this; whether the live
+        state imports into arrays is decided after it, by
+        :func:`repro.sim.kernel.v2_import`.
         """
-        return not self.invalidate_on_write and self._fast_replay_ok()
+        return self._fast_replay_ok()
 
     def _metrics_baseline(self) -> Tuple:
         """Pre-replay totals used to record per-replay metric deltas.
@@ -671,38 +674,46 @@ class DistributedFileSystem:
         return self._replay_trace(trace, intern)
 
     def _replay_trace(self, trace: Trace, intern: bool) -> SystemMetrics:
-        """One uninterrupted replay pass (fast or generic, no windowing).
+        """One uninterrupted replay pass (kernel, fast or generic).
 
         The windowed driver calls this per chunk; ``replay`` calls it
-        for the whole trace.  Fast-path eligibility is re-checked per
-        call, so a configuration change mid-windowed-run is honoured at
-        the next window boundary.
+        for the whole trace.  Eligibility is re-checked per call.
 
-        Columnar traces route to the batch kernels when the
-        configuration qualifies — integer columns replayed straight off
-        the mmap, the ``intern=True`` contract without the encoding
-        pass — and are decoded to event objects for the dict loops
-        otherwise (:meth:`_kernel_ok`; write invalidation is the case
-        that matters, since the kernels never read the kind column).  The array-backed core
-        (:func:`repro.sim.kernel.replay_columns_v2`) runs when
-        :func:`repro.sim.kernel.v2_import` accepts the live state (int
-        cache keys, no evict listeners, enough events to amortize the
-        import); anything it declines falls back explicitly to the
-        dict kernel (:func:`repro.sim.kernel.replay_columns`).  Either
-        way the resulting metrics are byte-identical to replaying the
-        decoded events, and the ``engine.replay.path.*`` counter
-        records which loop actually ran.
+        A trace with columns (a :class:`ColumnarTrace`, or a text trace
+        as :func:`~repro.traces.reader.read_trace` returns it) replays
+        on the array kernel (:func:`repro.sim.kernel.replay_columns_v2`)
+        when :meth:`_kernel_ok` holds and
+        :func:`repro.sim.kernel.v2_import` accepts the live state.  A
+        columnar trace replays in its code space; a text trace in the
+        key space the event loops use (file-id strings, or with
+        ``intern=True`` the codes they intern), so caches, successor
+        lists and ``_previous`` end as the per-event path leaves them.
+        What the kernel declines replays the decoded events on the dict
+        loop, a columnar trace's events keyed by their codes so that
+        its key space does not depend on the path.
+        ``engine.replay.path.*`` records which loop ran.
         """
-        if isinstance(trace, ColumnarTrace):
-            if self._kernel_ok():
-                from .kernel import replay_columns, replay_columns_v2, v2_import
+        columns = (
+            trace
+            if isinstance(trace, ColumnarTrace)
+            else getattr(trace, "columns", None)
+        )
+        if columns is not None and self._kernel_ok():
+            from .kernel import replay_columns_v2, v2_import
 
-                state = v2_import(self, trace)
-                if state is not None:
-                    metrics = replay_columns_v2(self, trace, state=state)
-                    state.export()
-                    return metrics
-                return replay_columns(self, trace)
+            strings = columns is not trace and not intern
+            state = v2_import(self, columns, strings=strings)
+            if state is not None:
+                metrics = replay_columns_v2(self, columns, state=state)
+                state.export()
+                return metrics
+            if columns is trace:
+                from .kernel import map_previous
+
+                tracker = self.tracker
+                tracker._previous = map_previous(trace, tracker._previous)
+                return self._replay_fast(trace.to_trace(codes=True), intern=False)
+        if isinstance(trace, ColumnarTrace):
             return self._replay_trace(trace.to_trace(), intern)
         if self._fast_replay_ok():
             return self._replay_fast(trace, intern)

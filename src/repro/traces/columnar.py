@@ -173,7 +173,17 @@ class ColumnarTrace:
     # -- construction -----------------------------------------------------
     @classmethod
     def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        """Pack an event-object trace into in-memory columns."""
+        """Pack an event-object trace into in-memory columns.
+
+        A column-backed trace (:attr:`Trace.columns`, as
+        :func:`~repro.traces.reader.read_trace` returns) hands over its
+        columns as they are: they are what packing its events builds.
+        """
+        columns = trace.columns
+        if columns is not None:
+            if columns.name != trace.name:
+                columns = columns.renamed(trace.name)
+            return columns
         events = trace.events
         files = SymbolTable()
         file_codes = _column_u32(
@@ -241,29 +251,43 @@ class ColumnarTrace:
             ),
         )
 
-    def iter_events(self) -> Iterator[TraceEvent]:
-        """Decode every event, in order, column by column."""
+    def iter_events(
+        self, start: int = 0, codes: bool = False
+    ) -> Iterator[TraceEvent]:
+        """Decode every event, in order, column by column.
+
+        Sequence numbers count from ``start``.  ``codes=True`` keeps the
+        file codes as the events' file ids instead of their strings.
+        """
         count = len(self)
 
-        def column(codes, symbols: Sequence) -> Iterator:
+        def column(values, symbols: Sequence) -> Iterator:
             # An absent column means code 0 everywhere (for kinds, OPEN).
-            if codes is None:
+            if values is None:
                 return repeat(symbols[0], count)
-            return map(symbols.__getitem__, codes)
+            return map(symbols.__getitem__, values)
 
         return map(
             TraceEvent,
-            column(self.file_codes, self.file_symbols),
+            (
+                iter(self.file_codes)
+                if codes
+                else column(self.file_codes, self.file_symbols)
+            ),
             column(self.kind_codes, KINDS),
-            range(count),
+            range(start, start + count),
             column(self.client_codes, self.client_symbols),
             column(self.user_codes, self.user_symbols),
             column(self.process_codes, self.process_symbols),
         )
 
-    def to_trace(self) -> Trace:
-        """Decode the full trace back to event objects (interchange)."""
-        return Trace(events=list(self.iter_events()), name=self.name)
+    def to_trace(self, codes: bool = False) -> Trace:
+        """Decode the full trace back to event objects (interchange).
+
+        ``codes=True`` keys the events by file code, the key space every
+        columnar replay uses.
+        """
+        return Trace(events=list(self.iter_events(codes=codes)), name=self.name)
 
     def file_ids(self) -> List[str]:
         """The access sequence decoded to file-identifier strings."""
@@ -284,13 +308,34 @@ class ColumnarTrace:
 
     def code_of(self, file_id: str) -> int:
         """The code for a file-id string (KeyError when never interned)."""
+        return self.code_index()[file_id]
+
+    def code_index(self) -> Dict[str, int]:
+        """File-id string -> code, built once (read-only by convention)."""
         if self._code_index is None:
             self._code_index = {
                 name: code for code, name in enumerate(self.file_symbols)
             }
-        return self._code_index[file_id]
+        return self._code_index
 
     # -- zero-copy views ---------------------------------------------------
+    def renamed(self, name: str) -> "ColumnarTrace":
+        """The same columns and symbol tables under another name."""
+        return ColumnarTrace(
+            name=name,
+            file_codes=self.file_codes,
+            file_symbols=self.file_symbols,
+            kind_codes=self.kind_codes,
+            client_codes=self.client_codes,
+            client_symbols=self.client_symbols,
+            user_codes=self.user_codes,
+            user_symbols=self.user_symbols,
+            process_codes=self.process_codes,
+            process_symbols=self.process_symbols,
+            version=self.version,
+            _mmap=self._mmap,
+        )
+
     def slice(self, start: int, stop: Optional[int] = None) -> "ColumnarTrace":
         """A zero-copy sub-trace over ``[start:stop)``.
 

@@ -17,8 +17,11 @@ operation kind) that richer analyses can use for conditioning.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .columnar import ColumnarTrace
 
 
 class EventKind(enum.Enum):
@@ -104,20 +107,75 @@ class TraceEvent:
         return self.kind in (EventKind.WRITE, EventKind.CREATE, EventKind.DELETE)
 
 
-@dataclass
 class Trace:
     """An ordered collection of :class:`TraceEvent` objects.
 
     A thin sequence wrapper that also remembers a human-readable name
     (used in reports) and offers the projections the rest of the library
     needs most often.
+
+    A trace may also be *column-backed* (:meth:`from_columns`, which is
+    how :func:`~repro.traces.reader.read_trace` builds one): it then
+    holds a :class:`~repro.traces.columnar.ColumnarTrace` and decodes
+    :attr:`events` only on first touch.  :attr:`columns` hands those
+    columns to the code that can use them directly (the replay kernel,
+    the columnar packer) while they still describe the events; any
+    mutation through :meth:`append`, :meth:`extend` or assigning
+    :attr:`events` drops them.  Edit a column-backed trace through those
+    methods, not by mutating the decoded list in place.
     """
 
-    events: List[TraceEvent] = field(default_factory=list)
-    name: str = "trace"
+    __slots__ = ("_events", "_columns", "name")
+
+    def __init__(
+        self, events: Optional[List[TraceEvent]] = None, name: str = "trace"
+    ):
+        self._events: Optional[List[TraceEvent]] = [] if events is None else events
+        self._columns: Optional["ColumnarTrace"] = None
+        self.name = name
+
+    @classmethod
+    def from_columns(cls, columns: "ColumnarTrace", name: str = "") -> "Trace":
+        """A trace backed by ``columns``; events decode on first touch."""
+        trace = cls(name=name or columns.name)
+        trace._events = None
+        trace._columns = columns
+        return trace
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The events, decoded from the columns on first touch."""
+        if self._events is None:
+            self._events = list(self._columns.iter_events())
+        return self._events
+
+    @events.setter
+    def events(self, events: List[TraceEvent]) -> None:
+        self._events = events
+        self._columns = None
+
+    @property
+    def columns(self) -> Optional["ColumnarTrace"]:
+        """The backing columns while they describe the events, else None."""
+        return self._columns
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.name == other.name and self.events == other.events
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trace(events={self.events!r}, name={self.name!r})"
+
+    def __reduce__(self):
+        return (type(self), (self.events, self.name))
 
     def __len__(self) -> int:
-        return len(self.events)
+        if self._events is None:
+            return len(self._columns)
+        return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
@@ -127,9 +185,11 @@ class Trace:
 
     def append(self, event: TraceEvent) -> None:
         """Append an event, assigning its sequence number if unset."""
+        events = self.events
+        self._columns = None
         if event.sequence < 0:
-            event = event.with_sequence(len(self.events))
-        self.events.append(event)
+            event = event.with_sequence(len(events))
+        events.append(event)
 
     def extend(self, events: Iterable[TraceEvent]) -> None:
         """Append many events, assigning sequence numbers as needed."""
@@ -138,6 +198,8 @@ class Trace:
 
     def file_ids(self) -> List[str]:
         """The access sequence as a plain list of file identifiers."""
+        if self._columns is not None:
+            return self._columns.file_ids()
         return [event.file_id for event in self.events]
 
     def open_events(self) -> "Trace":
@@ -150,6 +212,8 @@ class Trace:
 
     def unique_files(self) -> int:
         """Number of distinct files appearing in the trace."""
+        if self._columns is not None:
+            return self._columns.unique_files()
         return len({event.file_id for event in self.events})
 
     @classmethod

@@ -24,15 +24,20 @@ significant.
 
 from __future__ import annotations
 
-import gc
+from array import array
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Dict, Iterable, Iterator, List, TextIO, Union
 
 from ..errors import TraceFormatError
-from .events import KINDS_BY_VALUE, EventKind, Trace, TraceEvent
+from .columnar import KINDS, ColumnarTrace, _pack_attribute
+from .events import EventKind, Trace, TraceEvent
 
 FORMAT_NAME = "repro-trace"
 FORMAT_VERSION = 1
+
+#: Wire name -> columnar kind code, for the exact lowercase spellings.
+_KIND_CODES: Dict[str, int] = {kind.value: code for code, kind in enumerate(KINDS)}
 
 _ATTRIBUTE_FIELDS = {
     "client": "client_id",
@@ -81,48 +86,78 @@ def iter_events(stream: TextIO) -> Iterator[TraceEvent]:
     The header is optional: a bare stream of event lines is accepted so
     hand-written fixtures stay convenient.  A ``#!`` directive naming a
     different format or a newer version is rejected.  Events carry
-    their sequence numbers (0, 1, ... in line order).
+    their sequence numbers (0, 1, ... in line order).  The stream is
+    parsed :data:`CHUNK_LINES` lines at a time, so an error surfaces
+    once the events of the lines before it in its chunk are parsed,
+    not yielded.
     """
-    return iter(_TraceLines(stream))
+    lines = _TraceLines()
+    while True:
+        chunk = list(islice(stream, CHUNK_LINES))
+        if not chunk:
+            return
+        start = lines.events
+        yield from lines.columns(chunk).iter_events(start=start)
+
+
+#: Lines :func:`iter_events` parses per step.
+CHUNK_LINES = 4096
 
 
 class _TraceLines:
-    """One pass over a text stream: the header's name, then every event.
+    """The one parsing loop: text lines straight into trace columns.
 
-    The single parsing loop behind :func:`iter_events` and
-    :func:`read_trace`.  Lines are taken as the stream splits them
-    (``\\n`` after the stream's own newline translation).  Event lines
-    of the common shapes -- ``<kind> <file-id>``, optionally followed by
-    one ``client=`` attribute, with ``kind`` in lowercase -- build
-    their :class:`TraceEvent` directly.  Every other line is handled as
-    the format defines it: blanks and comments are skipped, directives
-    checked, and events parsed by :func:`parse_event_line`, so errors
-    and their line numbers do not depend on the shortcut.  ``name``
-    takes the rest of the last ``#! name`` line of the leading comment
-    block.
+    Each :meth:`columns` call parses its lines into fresh columns, coded
+    exactly as :meth:`ColumnarTrace.from_trace` packs the same events,
+    building no :class:`TraceEvent` for the common shapes (``<kind>
+    <file-id>``, maybe one ``client=``, lowercase kind).  Other lines
+    go the format's long way -- blanks and comments skipped, directives
+    checked, events through :func:`parse_event_line` -- so errors and
+    line numbers do not depend on the shortcut.  Lines are split as the
+    stream splits them.  Line numbers, the event count and the header
+    ``name`` (the last ``#! name`` before the first event) carry over
+    between calls.
     """
 
-    def __init__(self, stream: TextIO):
-        self.stream = stream
+    def __init__(self):
         self.name = ""
+        self.line_number = 0
+        #: Events parsed by earlier calls.
+        self.events = 0
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        kind_of = KINDS_BY_VALUE.get
-        sequence = 0
-        for line_number, raw_line in enumerate(self.stream, start=1):
+    def columns(self, lines: Iterable[str]) -> ColumnarTrace:
+        files: Dict[str, int] = {}
+        # Keyed by the whole ``client=<id>`` token; "" for no client.
+        clients: Dict[str, int] = {}
+        file_codes: List[int] = []
+        kinds = bytearray()
+        client_codes: List[int] = []
+        # Events carrying user= or process=, by index: rare enough to
+        # keep out of the hot loop and pack at the end.
+        attributed: Dict[int, TraceEvent] = {}
+        file_code = files.setdefault
+        client_code = clients.setdefault
+        kind_of = _KIND_CODES.get
+        add_file = file_codes.append
+        add_kind = kinds.append
+        add_client = client_codes.append
+        line_number = self.line_number
+        for line_number, raw_line in enumerate(lines, line_number + 1):
             tokens = raw_line.split()
             if len(tokens) == 3:
                 kind = kind_of(tokens[0])
                 client = tokens[2]
                 if kind is not None and client[:7] == "client=" and len(client) > 7:
-                    yield TraceEvent(tokens[1], kind, sequence, client[7:])
-                    sequence += 1
+                    add_file(file_code(tokens[1], len(files)))
+                    add_kind(kind)
+                    add_client(client_code(client, len(clients)))
                     continue
             elif len(tokens) == 2:
                 kind = kind_of(tokens[0])
                 if kind is not None:
-                    yield TraceEvent(tokens[1], kind, sequence)
-                    sequence += 1
+                    add_file(file_code(tokens[1], len(files)))
+                    add_kind(kind)
+                    add_client(client_code("", len(clients)))
                     continue
             line = raw_line.strip()
             if not line:
@@ -130,15 +165,54 @@ class _TraceLines:
             if line.startswith("#!"):
                 _validate_directive(line, line_number)
                 # No event yet: still in the leading comment block.
-                if not sequence:
+                if not file_codes and not self.events:
                     directive = line[2:].split(None, 1)
                     if directive[0] == "name" and len(directive) > 1:
                         self.name = directive[1]
                 continue
             if line.startswith("#"):
                 continue
-            yield parse_event_line(line, line_number).with_sequence(sequence)
-            sequence += 1
+            event = parse_event_line(line, line_number)
+            if event.user_id or event.process_id:
+                attributed[len(file_codes)] = event
+            add_file(file_code(event.file_id, len(files)))
+            add_kind(_KIND_CODES[event.kind.value])
+            client = "client=" + event.client_id if event.client_id else ""
+            add_client(client_code(client, len(clients)))
+        self.line_number = line_number
+        count = len(file_codes)
+        self.events += count
+
+        kind_column = None
+        if kinds.count(0) < count:
+            kind_column = array("B")
+            kind_column.frombytes(kinds)
+        client_symbols = tuple(key[7:] for key in clients) or ("",)
+        client_column = None
+        if len(client_symbols) > 1:
+            client_column = array("I", client_codes)
+        users = processes = (None, ("",))
+        if attributed:
+            users, processes = [""] * count, [""] * count
+            for index, event in attributed.items():
+                users[index] = event.user_id
+                processes[index] = event.process_id
+            users, processes = _pack_attribute(users), _pack_attribute(processes)
+        columns = ColumnarTrace(
+            name="",
+            file_codes=array("I", file_codes),
+            file_symbols=tuple(files),
+            kind_codes=kind_column,
+            client_codes=client_column,
+            client_symbols=client_symbols,
+            user_codes=users[0],
+            user_symbols=users[1],
+            process_codes=processes[0],
+            process_symbols=processes[1],
+        )
+        # The interning dict is the columns' code index already.
+        columns._code_index = files
+        return columns
 
 
 def _validate_directive(line: str, line_number: int) -> None:
@@ -198,17 +272,10 @@ def read_trace(source: Union[str, Path, TextIO], name: str = "") -> Trace:
             trace.name = name or stem
         return trace
 
-    lines = _TraceLines(source)
-    # The events hold no reference cycles, so the cyclic collector's
-    # passes over the growing list are pure cost; pause it for the bulk.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        events = list(lines)
-    finally:
-        if collecting:
-            gc.enable()
-    return Trace(events=events, name=name or lines.name or "trace")
+    lines = _TraceLines()
+    columns = lines.columns(source)
+    columns.name = name or lines.name or "trace"
+    return Trace.from_columns(columns)
 
 
 def read_file_ids(source: Union[str, Path, TextIO]) -> Iterable[str]:

@@ -429,6 +429,61 @@ class TestTraceTooling:
 
         assert read_columnar(packed).to_trace().events == read_trace(text).events
 
+    def test_text_pack_and_info_never_decode_events(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Text parses straight into columns; pack writes them and info
+        # reports them without building one event object, and the
+        # packed bytes are what packing the events themselves gives.
+        import io
+
+        from repro.traces import reader
+        from repro.traces.columnar import ColumnarTrace, dump_columnar
+        from repro.traces.events import EventKind, Trace, TraceEvent
+        from repro.traces.writer import write_trace
+
+        kinds = list(EventKind)
+        events = Trace(
+            events=[
+                TraceEvent(
+                    f"f{index % 37}",
+                    kinds[index % len(kinds)],
+                    index,
+                    client_id=f"c{index % 3}",
+                    user_id=f"u{index % 2}" if index % 50 == 1 else "",
+                    process_id="p1" if index % 70 == 0 else "",
+                )
+                for index in range(400)
+            ],
+            name="mixed",
+        )
+        text = tmp_path / "m.trace"
+        out = tmp_path / "m.ctrace"
+        write_trace(events, text)
+        expected = io.BytesIO()
+        dump_columnar(events, expected)
+
+        def no_decoding(self, *args, **kwargs):
+            raise AssertionError("a text trace was decoded to events")
+
+        # Only the lines carrying user= or process= build an event, in
+        # parse_event_line; every other line goes straight to columns.
+        built = []
+        event_class = reader.TraceEvent
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return event_class(*args, **kwargs)
+
+        monkeypatch.setattr(ColumnarTrace, "iter_events", no_decoding)
+        monkeypatch.setattr(reader, "TraceEvent", counted)
+        assert main(["trace", "pack", str(text), str(out)]) == 0
+        assert main(["trace", "info", str(text)]) == 0
+        assert "| events | 400 |" in capsys.readouterr().out
+        assert out.read_bytes() == expected.getvalue()
+        attributed = sum(1 for event in events if event.user_id or event.process_id)
+        assert len(built) == 2 * attributed
+
     def test_info_bench_times_every_kernel_path(self, capsys, tmp_path):
         text = tmp_path / "b.trace"
         packed = tmp_path / "b.ctrace"
@@ -443,8 +498,9 @@ class TestTraceTooling:
         assert "| events | 1200 |" in out
         assert "| path | seconds | events/s |" in out
         assert "| scan |" in out
-        assert "| kernel (dict LRU) |" in out
         assert "| kernel_v2 (array LRU) |" in out
+        # The dict-LRU kernel is gone; no row times it.
+        assert "dict LRU" not in out
 
     def test_info_bench_accepts_text_traces(self, capsys, tmp_path):
         text = tmp_path / "bt.trace"

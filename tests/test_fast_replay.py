@@ -7,22 +7,20 @@ count-for-count identical to driving the generic per-event ``access``
 path, across all four synthetic workloads.  The engine's loop also
 applies write invalidation inline; hypothesis drives it with random
 OPEN / WRITE / CREATE / DELETE mixes, plainly, chained, interned, and
-from columnar traces (which must decline the batch kernels), against
+from columnar traces (which ride the array kernel), against
 the per-event ``access`` + ``process_mutation`` reference.
 """
 
 import dataclasses
 import itertools
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.sim.kernel as kernel
 from repro.core.aggregating_cache import AggregatingClientCache
 from repro.experiments.common import workload_sequence, workload_trace
-from repro.obs import windowing
+from repro.obs import collecting, windowing
 from repro.sim.engine import DistributedFileSystem
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.events import EventKind, Trace, TraceEvent
@@ -62,14 +60,25 @@ def reference_replay(system, trace, intern=False):
     return system.metrics()
 
 
-def replay_state(system):
-    """Post-replay cache and successor state, in order where order matters."""
+def replay_state(system, symbols=None):
+    """Post-replay cache and successor state, in order where order matters.
+
+    ``symbols`` decodes the keys of a replay keyed by file codes.
+    """
     server = system.server_cache
+
+    def keys(items):
+        return list(items) if symbols is None else [symbols[key] for key in items]
+
+    previous = system.tracker._previous
     return (
-        [(client_id, list(cache._order)) for client_id, cache in system.clients.items()],
-        None if server is None else list(server._order),
-        [(key, list(slist._items)) for key, slist in system.tracker._lists.items()],
-        system.tracker._previous,
+        [(client_id, keys(cache._order)) for client_id, cache in system.clients.items()],
+        None if server is None else keys(server._order),
+        [
+            (keys([key])[0], keys(slist._items))
+            for key, slist in system.tracker._lists.items()
+        ],
+        previous if previous is None else keys([previous])[0],
     )
 
 
@@ -165,10 +174,10 @@ class TestEngineFastReplay:
             if workload == "write":
                 assert expected.invalidations > 0, label
 
-    def test_columnar_invalidation_declines_kernels(self):
-        # The batch kernels never read the kind column: an invalidating
-        # system must decode a columnar trace and take the dict loop,
-        # windowed (one v2 session for the whole trace) or not.
+    def test_columnar_invalidation_takes_kernel(self):
+        # The array kernel reads the kind column: an invalidating system
+        # replays a columnar trace on it, windowed (one array state for
+        # the whole trace) or not, counting as the per-event reference.
         trace = workload_trace("write", 20000)
         ctrace = ColumnarTrace.from_trace(trace)
         config = dict(
@@ -177,11 +186,16 @@ class TestEngineFastReplay:
             group_size=5,
             invalidate_on_write=True,
         )
-        system = DistributedFileSystem(**config)
-        assert system._fast_replay_ok() and not system._kernel_ok()
+        assert DistributedFileSystem(**config)._kernel_ok()
         expected = reference_replay(DistributedFileSystem(**config), trace)
         assert expected.invalidations > 0
-        assert DistributedFileSystem(**config).replay(ctrace) == expected
+        with collecting() as registry:
+            assert DistributedFileSystem(**config).replay(ctrace) == expected
+        assert {
+            name: value
+            for name, value in registry.snapshot()["counters"].items()
+            if name.startswith("engine.replay.path.")
+        } == {"engine.replay.path.kernel_v2": 1}
         with windowing(window=4000):
             assert DistributedFileSystem(**config).replay(ctrace) == expected
 
@@ -338,22 +352,20 @@ class TestInvalidationDifferential:
         window=2,
     )
     def test_columnar_trace_matches_reference(self, rows, config, window):
-        # The batch kernels ignore the kind column, so a columnar trace
-        # must decode and take the fused loop, windowed or not.
+        # The array kernel applies invalidation from the kind column, so
+        # a columnar trace rides it, windowed (one array state over every
+        # chunk) or not.  Its keys are the trace's codes.
         trace = _trace(rows)
         ctrace = ColumnarTrace.from_trace(trace)
         reference = _invalidating(config)
         expected = reference_replay(reference, trace)
 
         plain = _invalidating(config)
-        assert not plain._kernel_ok()
+        assert plain._kernel_ok()
         assert plain.replay(ctrace) == expected
-        assert replay_state(plain) == replay_state(reference)
+        assert replay_state(plain, ctrace.file_symbols) == replay_state(reference)
 
-        # With the v2 size floor lifted, even these short traces would
-        # open the windowed replay's kernel session if it ignored
-        # invalidation.
         windowed = _invalidating(config)
-        with mock.patch.object(kernel, "V2_MIN_EVENTS", 0), windowing(window=window):
+        with windowing(window=window):
             assert windowed.replay(ctrace) == expected
-        assert replay_state(windowed) == replay_state(reference)
+        assert replay_state(windowed, ctrace.file_symbols) == replay_state(reference)

@@ -7,14 +7,21 @@ workloads, with and without numpy, across qualifying and
 non-qualifying configurations.
 """
 
+import io
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import repro.caching.array_lru as array_lru
 import repro.sim.kernel as kernel
+from repro.caching.lru import LRUCache
+from repro.obs import collecting
 from repro.sim.engine import DistributedFileSystem
 from repro.sim.kernel import client_runs, scan_columns
 from repro.traces.columnar import ColumnarTrace
-from repro.traces.events import Trace
+from repro.traces.events import EventKind, Trace
+from repro.traces.reader import read_trace
 from repro.workloads.synthetic import make_workload
 
 WORKLOADS = ("server", "users", "write", "workstation")
@@ -196,8 +203,9 @@ class TestWindowedColumnarReplay:
 
 class TestArrayKernelDispatch:
     """The engine's columnar dispatch: array kernel when eligible,
-    explicit fallback to the dict kernel otherwise, with the chosen
-    path recorded in ``engine.replay.path.*``."""
+    explicit fallback to the dict loop over the decoded codes
+    otherwise, with the chosen path recorded in
+    ``engine.replay.path.*``."""
 
     @staticmethod
     def _path_counters(registry):
@@ -217,19 +225,10 @@ class TestArrayKernelDispatch:
             "engine.replay.path.kernel_v2": 1
         }
 
-    def test_small_trace_falls_back_to_dict_kernel(self, numpy_mode):
+    def test_floor_override_admits_small_traces(self, numpy_mode):
+        # There is no size floor: a short trace rides the arrays too.
         from repro.obs import collecting
 
-        small = ColumnarTrace.from_trace(make_workload("server", 512))
-        assert len(small) < kernel.V2_MIN_EVENTS
-        with collecting() as registry:
-            DistributedFileSystem(**CONFIG).replay(small)
-        assert self._path_counters(registry) == {"engine.replay.path.kernel": 1}
-
-    def test_floor_override_admits_small_traces(self, numpy_mode, monkeypatch):
-        from repro.obs import collecting
-
-        monkeypatch.setattr(kernel, "V2_MIN_EVENTS", 0)
         trace = make_workload("server", 512)
         small = ColumnarTrace.from_trace(trace)
         reference = generic_engine_metrics(
@@ -243,16 +242,22 @@ class TestArrayKernelDispatch:
         }
 
     def test_evict_listener_falls_back_to_dict_kernel(self, numpy_mode):
+        # Declined by the arrays: the dict loop replays the events
+        # decoded with their codes as file ids, and fires the hook.
         from repro.obs import collecting
 
-        ctrace = ColumnarTrace.from_trace(make_workload("server", EVENTS))
+        trace = make_workload("server", EVENTS)
+        ctrace = ColumnarTrace.from_trace(trace)
         system = DistributedFileSystem(**CONFIG)
         victims = []
         system.server_cache.evict_listener = victims.append
         with collecting() as registry:
-            system.replay(ctrace)
-        assert self._path_counters(registry) == {"engine.replay.path.kernel": 1}
-        assert victims  # the dict kernel still fires the hook
+            metrics = system.replay(ctrace)
+        assert self._path_counters(registry) == {"engine.replay.path.fast": 1}
+        assert victims and all(type(victim) is int for victim in victims)
+        assert metrics == generic_engine_metrics(
+            DistributedFileSystem(**CONFIG), trace
+        )
 
     def test_string_keyed_state_falls_back_to_dict_kernel(self, numpy_mode):
         from repro.obs import collecting
@@ -263,10 +268,11 @@ class TestArrayKernelDispatch:
         system.replay(trace, intern=False)  # warm state keyed by strings
         with collecting() as registry:
             system.replay(ctrace)
-        assert self._path_counters(registry) == {"engine.replay.path.kernel": 1}
-        # The dict kernel's documented contract on warm string state is
-        # intern=True semantics: string keys are foreign to the code
-        # space, exactly like the interning fast path.
+        assert self._path_counters(registry) == {"engine.replay.path.fast": 1}
+        # A columnar replay keeps its code space on the dict loop: on
+        # warm string state that is intern=True semantics, string keys
+        # foreign to the code space, exactly like the interning fast
+        # path.
         reference = DistributedFileSystem(**CONFIG)
         reference.replay(trace, intern=False)
         reference.replay(trace, intern=True)
@@ -287,16 +293,15 @@ class TestArrayKernelDispatch:
         )
 
     @pytest.mark.parametrize("workload", WORKLOADS)
-    def test_final_state_identical_to_dict_kernel(self, workload, numpy_mode,
-                                                  monkeypatch):
+    def test_final_state_identical_to_dict_kernel(self, workload, numpy_mode):
         # Beyond metrics equality: the exported cache orders, successor
-        # lists, and carried previous must match the dict kernel's.
+        # lists, and carried previous must match the dict loop's over
+        # the same codes.
         ctrace = ColumnarTrace.from_trace(make_workload(workload, EVENTS))
         array_system = DistributedFileSystem(**CONFIG)
         array_metrics = array_system.replay(ctrace)
-        monkeypatch.setattr(kernel, "V2_MIN_EVENTS", EVENTS + 1)
         dict_system = DistributedFileSystem(**CONFIG)
-        dict_metrics = dict_system.replay(ctrace)
+        dict_metrics = dict_system.replay(ctrace.to_trace(codes=True))
         assert array_metrics == dict_metrics
         assert self._full_state(array_system) == self._full_state(dict_system)
 
@@ -346,3 +351,197 @@ class TestKernelObservability:
         ):
             assert batch["counters"][name] == fast["counters"][name], name
         assert "engine.replay.kernel.ns" in batch["histograms"]
+
+
+# -- text traces on the array kernel, against the per-event oracle -----------
+
+_KIND_NAMES = tuple(kind.value for kind in EventKind)
+
+#: One event line over <= 12 files and clients c0-c3 (or none).
+_event_lines = st.builds(
+    lambda kind, file_index, client: (
+        f"{kind} f{file_index}" + ("" if client is None else f" client=c{client}")
+    ),
+    st.sampled_from(_KIND_NAMES),
+    st.integers(min_value=0, max_value=11),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+_texts = st.lists(_event_lines, max_size=40).map(lambda lines: "\n".join(lines))
+
+#: Server capacity 0 means no server cache.
+_text_configs = st.fixed_dictionaries(
+    {
+        "client_capacity": st.integers(min_value=1, max_value=8),
+        "server_capacity": st.integers(min_value=0, max_value=8),
+        "group_size": st.integers(min_value=1, max_value=6),
+        "cooperative": st.booleans(),
+        "successor_capacity": st.integers(min_value=1, max_value=8),
+        "invalidate_on_write": st.booleans(),
+    }
+)
+
+
+def _text_trace(text):
+    return read_trace(io.StringIO(text))
+
+
+def _oracle(config):
+    system = DistributedFileSystem(**config)
+    system.use_fast_replay = False
+    return system
+
+
+def _system_state(system):
+    """Cache orders, successor lists and the carried previous file."""
+    server = system.server_cache
+    return (
+        [(client_id, list(cache._order)) for client_id, cache in system.clients.items()],
+        None if server is None else list(server._order),
+        [(key, list(slist._items)) for key, slist in system.tracker._lists.items()],
+        system.tracker._previous,
+    )
+
+
+def _recorded(registry):
+    """``(snapshot without wall-clock .ns histograms and path counters,
+    path counters)``.
+
+    Histograms that saw no observation are dropped too: the batched
+    loops register theirs up front, the per-event path on first use.
+    """
+    snapshot = registry.snapshot()
+    counters = snapshot["counters"]
+    paths = {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("engine.replay.path.")
+    }
+    kept = {
+        section: (
+            {
+                name: value
+                for name, value in values.items()
+                if not name.endswith(".ns")
+                and name not in paths
+                and not (isinstance(value, dict) and value.get("count") == 0)
+            }
+            if isinstance(values, dict)
+            else values
+        )
+        for section, values in snapshot.items()
+    }
+    return kept, paths
+
+
+class TestTextReplayDifferential:
+    """``system.replay(read_trace(text))`` rides the array kernel —
+    write invalidation from the kind column, string or interned key
+    space — and must leave metrics, state and counters exactly as the
+    ``use_fast_replay=False`` per-event oracle does."""
+
+    @given(
+        texts=st.lists(_texts, min_size=1, max_size=3),
+        config=_text_configs,
+        intern=st.booleans(),
+    )
+    # numpy_mode only pins module flags, the same for every example.
+    @settings(
+        max_examples=250,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    # DELETE of the replaying client's own file, the server holding it.
+    @example(
+        texts=["open f0 client=c0\nopen f1 client=c0\ndelete f0 client=c0\nopen f0 client=c1"],
+        config=dict(client_capacity=2, server_capacity=3, group_size=2,
+                    cooperative=True, successor_capacity=2,
+                    invalidate_on_write=True),
+        intern=False,
+    )
+    # Chained string replays: the second trace's files are foreign to
+    # the first one's caches and successor lists.
+    @example(
+        texts=["open f0 client=c0\nwrite f1 client=c1\nopen f2", "create f9 client=c1\nopen f0"],
+        config=dict(client_capacity=2, server_capacity=2, group_size=3,
+                    cooperative=False, successor_capacity=2,
+                    invalidate_on_write=True),
+        intern=False,
+    )
+    def test_matches_per_event_oracle(self, texts, config, intern, numpy_mode):
+        if intern:
+            # Chained interned replays key every trace by its own first-
+            # appearance codes; one text keeps them in one namespace.
+            texts = [texts[0]] * len(texts)
+        oracle = _oracle(config)
+        system = DistributedFileSystem(**config)
+        for text in texts:
+            with collecting() as expected_registry:
+                expected = oracle.replay(_text_trace(text), intern=intern)
+            with collecting() as registry:
+                metrics = system.replay(_text_trace(text), intern=intern)
+            assert metrics == expected
+            assert _system_state(system) == _system_state(oracle)
+            recorded, paths = _recorded(registry)
+            assert paths == {"engine.replay.path.kernel_v2": 1}
+            assert recorded == _recorded(expected_registry)[0]
+
+    _TEXT = "\n".join(
+        f"{kind} f{index % 7} client=c{index % 3}"
+        for index, kind in enumerate(
+            ["open", "write", "open", "create", "open", "delete", "read"] * 6
+        )
+    )
+    _CONFIG = dict(client_capacity=3, server_capacity=4, group_size=3,
+                   invalidate_on_write=True)
+
+    def _declined(self, prepare, intern=False, warm=None):
+        """Replay ``_TEXT`` on a prepared system; it must decline the
+        arrays and equal the dict loop on the decoded events."""
+        system = DistributedFileSystem(**self._CONFIG)
+        events = DistributedFileSystem(**self._CONFIG)
+        for target in (system, events):
+            if warm is not None:
+                target.replay(_text_trace(warm[0]), intern=warm[1])
+            prepare(target)
+        trace = _text_trace(self._TEXT)
+        assert trace.columns is not None
+        with collecting() as registry:
+            metrics = system.replay(trace, intern=intern)
+        assert _recorded(registry)[1] == {"engine.replay.path.fast": 1}
+        expected = events.replay(Trace(events=list(trace)), intern=intern)
+        assert metrics == expected
+        assert _system_state(system) == _system_state(events)
+        return system
+
+    def test_client_evict_listener_declines(self, numpy_mode):
+        victims = []
+
+        def listen(system):
+            system._client_cache("c0").evict_listener = victims.append
+
+        system = self._declined(listen)
+        assert victims
+        oracle = _oracle(self._CONFIG)
+        oracle._client_cache("c0").evict_listener = lambda key: None
+        assert system.metrics() == oracle.replay(_text_trace(self._TEXT))
+
+    def test_server_evict_listener_declines(self, numpy_mode):
+        def listen(system):
+            system.server_cache.evict_listener = lambda key: None
+
+        self._declined(listen)
+
+    def test_client_capacity_mismatch_declines(self, numpy_mode):
+        def inject(system):
+            system.clients["c1"] = LRUCache(self._CONFIG["client_capacity"] + 1)
+
+        self._declined(inject)
+
+    def test_interned_keys_outside_the_code_space_decline(self, numpy_mode):
+        # A longer interned trace leaves codes past this trace's symbol
+        # table in the caches: the arrays cannot hold them.
+        longer = "\n".join(f"open g{index} client=c0" for index in range(20))
+        self._declined(lambda system: None, intern=True, warm=(longer, True))
+
+    def test_interned_replay_on_string_state_declines(self, numpy_mode):
+        self._declined(lambda system: None, intern=True, warm=(self._TEXT, False))

@@ -266,6 +266,51 @@ class TestDaemonTracing:
         assert notes["status"] == 200
         assert notes["request_id"] >= 1
 
+    @pytest.mark.parametrize(
+        "body, status", [(b'{"files": ["f1", "f2"]}', 200), (b"{not json", 400)]
+    )
+    def test_spans_annotated_before_the_reply_is_sent(self, body, status):
+        # A client may read the spans the moment it has its reply, so
+        # every annotation must already be in the buffer when the reply
+        # is sent; only the durations are stamped after.
+        import io
+
+        buffer = SpanBuffer(process="serve")
+        daemon = CacheDaemon(tiny_scenario(), spans=buffer)
+        seen = []
+
+        def send(data):
+            spans = buffer.spans()
+            root = [span for span in spans if span.kind == "server"][-1]
+            writes = [span for span in spans if span.name == "response.write"]
+            seen.append(
+                (
+                    dict(root.annotations),
+                    dict(writes[-1].annotations) if writes else None,
+                )
+            )
+
+        request = (
+            b"POST /fetch HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        try:
+            daemon._serve_connection(io.BytesIO(request), send)
+        finally:
+            daemon.close()
+        assert len(seen) == 1
+        root_notes, write_notes = seen[0]
+        assert root_notes["endpoint"] == "/fetch"
+        assert root_notes["status"] == status
+        assert root_notes["request_id"] >= 1
+        assert root_notes["events"] == (2 if status == 200 else 0)
+        if status == 200:
+            assert write_notes["bytes"] > 0
+        roots = [span for span in buffer.spans() if span.kind == "server"]
+        assert all(span.finished for span in buffer.spans())
+        assert len(roots) == 1
+
     def test_malformed_header_does_not_fail_the_request(self):
         buffer = SpanBuffer(process="serve")
         with CacheDaemon(tiny_scenario(), spans=buffer) as daemon:

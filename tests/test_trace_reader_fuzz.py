@@ -10,14 +10,20 @@ agree on events, sequence numbers and the trace name, or raise the same
 """
 
 import gc
+import gzip
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
-from repro.traces.events import EventKind
+from repro.traces import reader
+from repro.traces.columnar import ColumnarTrace, dump_columnar
+from repro.traces.events import EventKind, Trace, TraceEvent
 from repro.traces.reader import (
     _validate_directive,
     iter_events,
@@ -179,6 +185,17 @@ class TestReaderMatchesReference:
             value = (value[0], None)
         assert outcome(via_iter_events, text) == (kind, value)
 
+    @settings(max_examples=150, deadline=None)
+    @given(trace_texts(), st.integers(min_value=1, max_value=4))
+    def test_iter_events_in_small_chunks(self, text, chunk_lines):
+        # The same loop over many chunks: numbering, sequence numbers and
+        # errors carry across chunk boundaries.
+        kind, value = expected(text)
+        if kind == "ok":
+            value = (value[0], None)
+        with mock.patch.object(reader, "CHUNK_LINES", chunk_lines):
+            assert outcome(via_iter_events, text) == (kind, value)
+
     def test_line_numbers_do_not_follow_splitlines(self):
         # str.splitlines() would break on \x1c and \x85 and renumber.
         text = "open a\x1cclient=c1\nopen b\x85client=c2\nopen c flavor=x\n"
@@ -203,3 +220,110 @@ class TestCollectorState:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
+
+
+# -- the column-backed read ----------------------------------------------------
+
+
+def packed(trace):
+    stream = io.BytesIO()
+    dump_columnar(trace, stream)
+    return stream.getvalue()
+
+
+def via_gzip_file(text):
+    # A path read: gzip stream, universal newlines, name from the stem
+    # when the text names none.
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "fuzzed.trace.gz"
+        with gzip.open(path, "wt", encoding="utf-8", newline="") as stream:
+            stream.write(text)
+        trace = read_trace(path)
+    return trace.events, trace.name
+
+
+def via_untranslated_newlines(text):
+    # newline="": lines end where universal newlines end them, with the
+    # line ending kept in the text the parser sees.
+    stream = io.TextIOWrapper(
+        io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline=""
+    )
+    trace = read_trace(stream)
+    return trace.events, trace.name
+
+
+class TestColumnBackedRead:
+    """``read_trace`` parses straight into columns.  The columns must be
+    what packing the reference events builds, and the lazily decoded
+    trace must be the reference trace, before and after mutation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace_texts())
+    def test_columns_pack_like_the_reference_events(self, text):
+        kind, value = expected(text)
+        if kind != "ok":
+            return
+        events, name = value
+        trace = read_trace(io.StringIO(text))
+        assert trace.columns is not None
+        assert packed(trace) == packed(Trace(events=events, name=name))
+        # Packing handed the columns over without decoding events.
+        assert trace._events is None
+        assert ColumnarTrace.from_trace(trace) is trace.columns
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace_texts())
+    def test_lazy_events_equal_the_event_built_trace(self, text):
+        kind, value = expected(text)
+        if kind != "ok":
+            return
+        events, name = value
+        trace = read_trace(io.StringIO(text))
+        reference = Trace(events=list(events), name=name)
+        assert len(trace) == len(reference)
+        assert trace == reference and reference == trace
+        assert trace.events == events
+        assert list(trace) == events
+        assert trace.file_ids() == reference.file_ids()
+        assert trace.unique_files() == reference.unique_files()
+        assert trace.columns is not None
+
+        extra = TraceEvent("extra", EventKind.WRITE, client_id="c9")
+        trace.append(extra)
+        reference.append(extra)
+        assert trace.columns is None
+        assert trace == reference
+        assert packed(trace) == packed(reference)
+        trace.extend([TraceEvent("more", user_id="u1")])
+        reference.extend([TraceEvent("more", user_id="u1")])
+        assert trace == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(trace_texts())
+    def test_gzip_path(self, text):
+        kind, value = expected(text.replace("\r\n", "\n"))
+        if kind == "ok" and value[1] == "trace":
+            value = (value[0], "fuzzed")
+        assert outcome(via_gzip_file, text) == (kind, value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(trace_texts())
+    def test_untranslated_newlines(self, text):
+        assert outcome(via_untranslated_newlines, text) == expected(text)
+
+    def test_attributes_and_renames_pack_like_the_reference(self):
+        text = (
+            "#! name first\n"
+            "open a client=c1\n"
+            "write b user=u1 process=p1\n"
+            "open a process=p2 client=c2\n"
+            "#! name ignored\n"
+            "DELETE b\n"
+        )
+        trace = read_trace(io.StringIO(text))
+        reference = Trace(events=reference_read(text)[0], name="first")
+        assert packed(trace) == packed(reference)
+        trace.name = "renamed"
+        reference.name = "renamed"
+        assert packed(trace) == packed(reference)
+        assert trace._events is None
